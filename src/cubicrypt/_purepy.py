@@ -26,6 +26,8 @@ def run_orbit(x0, r, scheme, damping, n):
     """
     if scheme not in (1, 2, 3, 4):
         raise ValueError(f"unknown evaluation scheme id {scheme!r}")
+    if scheme == 4:
+        scheme = 1  # E4's ((r*x)*x)*x is E1's operation order, bit for bit
     out = np.empty(n + 1, dtype=np.float64)
     x = float(x0)
     r = float(r)
@@ -42,15 +44,10 @@ def run_orbit(x0, r, scheme, damping, n):
             t = (x * x) * x
             t = r * t
             y = t + (x - r * x)
-        elif scheme == 3:
+        else:
             t = (r * x) * x
             t = t + omr
             y = x * t
-        else:
-            t = (r * x)
-            t = t * x
-            t = t * x
-            y = t + omr * x
         y = damping * y
         out[k + 1] = y
         if not (-1.5 <= y <= 1.5):  # also catches NaN

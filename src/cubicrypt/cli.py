@@ -20,21 +20,18 @@ import numpy as np
 from cubicrypt import __version__
 from cubicrypt.analysis import lower_bound_error, lyapunov_from_lbe
 from cubicrypt.cipher import GrayImage, xor_apply
-from cubicrypt.exchange import (
-    PROFILES,
-    DeviceProfile,
-    ProtocolError,
-    run_exchange,
-    send_image,
-    serve_once,
-)
+from cubicrypt.exchange import PROFILES, run_exchange, send_image, serve_once
 from cubicrypt.keygen import KeystreamConfig, generate_keystream, key_matrix_for
 from cubicrypt.maps import EvaluationScheme, MapConfig, OrbitDivergenceError, iterate_orbit
 from cubicrypt.metrics import histogram, shannon_entropy
-from cubicrypt.pgmio import PgmError, read_pgm, write_pgm, write_series_csv
+from cubicrypt.pgmio import read_pgm, write_pgm, write_series_csv
 from cubicrypt.testimage import synthetic_test_image
 
 _KEY_FLAGS = ("x0", "r", "scheme", "damping", "iters", "seeds", "iters_per_seed")
+_KEY_DESTS = ("profile",) + _KEY_FLAGS
+_INPUT_FLAGS = ("in", "expected")
+# Not parameters: --out is the manifest's output, --report only changes stdout.
+_UNRECORDED_FLAGS = ("out", "report")
 
 
 def _scheme_arg(text: str) -> EvaluationScheme:
@@ -57,13 +54,18 @@ def _add_key_flags(sub: argparse.ArgumentParser) -> None:
 
 
 def _resolve_keystream(args: argparse.Namespace, parser: argparse.ArgumentParser) -> KeystreamConfig:
+    """Resolve the key flags (or ``--profile``) into a config and store it
+    as ``args.keystream``. Explicit flags are written back with the
+    config's full recipe, so the manifest argv names every default.
+    """
     given = [f for f in _KEY_FLAGS if getattr(args, f) is not None]
     if args.profile is not None:
         if given:
             parser.error(
                 "--profile cannot be combined with --" + ", --".join(g.replace("_", "-") for g in given)
             )
-        return PROFILES[args.profile].keystream
+        args.keystream = PROFILES[args.profile].keystream
+        return args.keystream
     kwargs = {}
     if args.scheme is not None:
         kwargs["scheme"] = args.scheme
@@ -79,14 +81,20 @@ def _resolve_keystream(args: argparse.Namespace, parser: argparse.ArgumentParser
                 kwargs["seed_count"] = args.seeds
             if args.iters_per_seed is not None:
                 kwargs["iterations_per_seed"] = args.iters_per_seed
-            return KeystreamConfig.multi_seed(**kwargs)
-        if args.x0 is not None:
-            kwargs["x0"] = args.x0
-        if args.iters is not None:
-            kwargs["iterations"] = args.iters
-        return KeystreamConfig.single_orbit(**kwargs)
+            config = KeystreamConfig.multi_seed(**kwargs)
+        else:
+            if args.x0 is not None:
+                kwargs["x0"] = args.x0
+            if args.iters is not None:
+                kwargs["iterations"] = args.iters
+            config = KeystreamConfig.single_orbit(**kwargs)
     except ValueError as exc:
         parser.error(str(exc))
+    args.x0, args.r, args.scheme, args.damping = config.x0, config.r, config.scheme, config.damping
+    args.iters, args.seeds = config.iterations, config.seed_count
+    args.iters_per_seed = config.iterations_per_seed
+    args.keystream = config
+    return config
 
 
 def _keystream_params(config: KeystreamConfig) -> dict:
@@ -102,37 +110,47 @@ def _keystream_params(config: KeystreamConfig) -> dict:
     }
 
 
-def _keystream_argv(args: argparse.Namespace, config: KeystreamConfig) -> list[str]:
-    if args.profile is not None:
-        return ["--profile", args.profile]
-    argv = ["--scheme", config.scheme.label, "--r", repr(config.r)]
-    if config.damping is not None:
-        argv += ["--damping", repr(config.damping)]
-    if config.mode == "single":
-        argv += ["--x0", repr(config.x0), "--iters", str(config.iterations)]
-    else:
-        argv += ["--seeds", str(config.seed_count), "--iters-per-seed", str(config.iterations_per_seed)]
-    return argv
+def _plain(value):
+    return value.label if isinstance(value, EvaluationScheme) else value
 
 
-def _write_manifest(
-    subcommand: str,
-    parameters: dict,
-    inputs: list[str],
-    outputs: list[str],
-    argv: list[str],
-) -> None:
-    if not outputs:
-        return
+def _write_manifest(args: argparse.Namespace, **data_params) -> None:
+    """Write <args.out>.manifest.json for the running subcommand.
+
+    ``parameters`` and the canonical argv both come from the
+    subcommand's declared options, walked in declaration order, so the
+    two cannot disagree. Key flags record the resolved
+    ``args.keystream``; ``data_params`` are values read from the data
+    (image size, histogram total).
+    """
+    words = args.command_parser.prog.split()[1:]
+    keystream = getattr(args, "keystream", None)
+    skipped = _UNRECORDED_FLAGS + (_KEY_DESTS if keystream is not None else ())
+    argv, parameters, inputs = list(words), {}, []
+    for action in args.command_parser._actions:
+        if action.dest == "help":
+            continue
+        value = getattr(args, action.dest)
+        if value is not None and value is not False:
+            argv.append(action.option_strings[0])
+            if action.nargs != 0:
+                argv.append(repr(value) if isinstance(value, float) else str(_plain(value)))
+        if action.dest in _INPUT_FLAGS:
+            if value is not None:
+                inputs.append(value)
+        elif action.dest not in skipped:
+            parameters[action.dest] = _plain(value)
+    if keystream is not None:
+        parameters |= _keystream_params(keystream)
     manifest = {
-        "subcommand": subcommand,
-        "parameters": parameters,
+        "subcommand": " ".join(words),
+        "parameters": parameters | data_params,
         "inputs": sorted(inputs),
-        "outputs": sorted(outputs),
+        "outputs": [args.out],
         "argv": argv,
         "version": __version__,
     }
-    path = Path(outputs[0] + ".manifest.json")
+    path = Path(args.out + ".manifest.json")
     path.write_bytes(json.dumps(manifest, indent=2, sort_keys=True).encode() + b"\n")
 
 
@@ -165,24 +183,7 @@ def cmd_simulate(args, parser) -> int:
     )
     orbit = iterate_orbit(config, args.iters)
     Path(args.out).write_bytes(write_series_csv(orbit.samples, name="x"))
-    argv = ["simulate", "--x0", repr(config.x0), "--r", repr(config.r),
-            "--scheme", config.scheme.label]
-    if config.damping is not None:
-        argv += ["--damping", repr(config.damping)]
-    argv += ["--iters", str(args.iters), "--out", args.out]
-    _write_manifest(
-        "simulate",
-        {
-            "x0": config.x0,
-            "r": config.r,
-            "scheme": config.scheme.label,
-            "damping": config.damping,
-            "iters": args.iters,
-        },
-        [],
-        [args.out],
-        argv,
-    )
+    _write_manifest(args)
     print(f"wrote {args.iters + 1} samples to {args.out}")
     return 0
 
@@ -193,22 +194,7 @@ def cmd_lbe(args, parser) -> int:
     orbit_b = iterate_orbit(MapConfig(scheme=args.scheme_b, **base), args.iters)
     series = lower_bound_error(orbit_a, orbit_b)
     Path(args.out).write_bytes(write_series_csv(series.delta, name="delta"))
-    params = {
-        "x0": args.x0,
-        "r": args.r,
-        "damping": args.damping,
-        "scheme_a": args.scheme_a.label,
-        "scheme_b": args.scheme_b.label,
-        "iters": args.iters,
-    }
-    argv = ["lbe", "--x0", repr(args.x0), "--r", repr(args.r),
-            "--scheme-a", args.scheme_a.label, "--scheme-b", args.scheme_b.label,
-            "--iters", str(args.iters), "--out", args.out]
-    if args.damping is not None:
-        argv += ["--damping", repr(args.damping)]
-    if args.report:
-        argv += ["--report"]
-    _write_manifest("lbe", params, [], [args.out], argv)
+    _write_manifest(args)
     print(f"wrote {len(series)} deltas to {args.out}")
     if args.report:
         estimate = lyapunov_from_lbe(series)
@@ -232,36 +218,20 @@ def cmd_keygen(args, parser) -> int:
         Path(args.out).write_bytes(payload.hex().encode("ascii") + b"\n")
     else:
         Path(args.out).write_bytes(payload)
-    argv = (["keygen"] + _keystream_argv(args, config)
-            + ["--count", str(args.count), "--out", args.out])
-    if args.hex:
-        argv += ["--hex"]
-    params = _keystream_params(config) | {"count": args.count, "hex": bool(args.hex)}
-    _write_manifest("keygen", params, [], [args.out], argv)
+    _write_manifest(args)
     print(f"wrote {args.count} key bytes to {args.out}" + (" (hex)" if args.hex else ""))
     return 0
 
 
-def _cmd_xor(args, parser, subcommand: str) -> int:
+def cmd_xor(args, parser) -> int:
     config = _resolve_keystream(args, parser)
     image = _load_image(getattr(args, "in"))
     key = key_matrix_for(config, image.width, image.height)
     result = xor_apply(image, key)
     Path(args.out).write_bytes(write_pgm(result))
-    argv = ([subcommand, "--in", getattr(args, "in"), "--out", args.out]
-            + _keystream_argv(args, config))
-    params = _keystream_params(config) | {"width": image.width, "height": image.height}
-    _write_manifest(subcommand, params, [getattr(args, "in")], [args.out], argv)
-    print(f"{subcommand}ed {image.width}x{image.height} image -> {args.out}")
+    _write_manifest(args, width=image.width, height=image.height)
+    print(f"{args.subcommand}ed {image.width}x{image.height} image -> {args.out}")
     return 0
-
-
-def cmd_encrypt(args, parser) -> int:
-    return _cmd_xor(args, parser, "encrypt")
-
-
-def cmd_decrypt(args, parser) -> int:
-    return _cmd_xor(args, parser, "decrypt")
 
 
 def cmd_entropy(args, parser) -> int:
@@ -277,16 +247,7 @@ def cmd_histogram(args, parser) -> int:
     Path(args.out).write_bytes(hist.to_csv())
     occupied = hist.bins[hist.bins > 0]
     ratio = float(hist.bins.max()) / float(hist.bins.min()) if hist.bins.min() > 0 else float("inf")
-    argv = ["histogram", "--in", getattr(args, "in"), "--out", args.out]
-    if args.raw:
-        argv += ["--raw"]
-    _write_manifest(
-        "histogram",
-        {"raw": bool(args.raw), "total": int(hist.total)},
-        [getattr(args, "in")],
-        [args.out],
-        argv,
-    )
+    _write_manifest(args, total=int(hist.total))
     print(
         f"wrote 256 bins to {args.out} "
         f"(occupied={len(occupied)} max={int(hist.bins.max())} "
@@ -297,8 +258,8 @@ def cmd_histogram(args, parser) -> int:
 
 def _parse_addr(text: str, parser) -> tuple[str, int]:
     host, sep, port = text.rpartition(":")
-    if not sep or not port.isdigit():
-        parser.error(f"--addr must be host:port, got {text!r}")
+    if not sep or not port.isdigit() or int(port) > 65535:
+        parser.error(f"--addr must be host:port with a port in 0-65535, got {text!r}")
     return host or "127.0.0.1", int(port)
 
 
@@ -309,18 +270,13 @@ def cmd_exchange_serve(args, parser) -> int:
     Path(args.out).write_bytes(write_pgm(candidate))
     report = shannon_entropy(histogram(candidate.pixels))
     line = f"received {candidate.width}x{candidate.height} -> {args.out} h_norm={report.h_norm:.6f}"
-    inputs = []
     if args.expected:
         expected = _load_image(args.expected)
         match = float(np.mean(candidate.pixels == expected.pixels)) if (
             expected.width == candidate.width and expected.height == candidate.height
         ) else 0.0
         line += f" match={match:.6f}"
-        inputs.append(args.expected)
-    argv = ["exchange", "serve", "--addr", args.addr, "--profile", args.profile, "--out", args.out]
-    if args.expected:
-        argv += ["--expected", args.expected]
-    _write_manifest("exchange serve", {"profile": args.profile, "addr": args.addr}, inputs, [args.out], argv)
+    _write_manifest(args)
     print(line)
     return 0
 
@@ -342,23 +298,14 @@ def cmd_exchange_run(args, parser) -> int:
     print(report.summary())
     if args.out:
         Path(args.out).write_bytes(write_pgm(report.candidate))
-        argv = ["exchange", "run", "--in", getattr(args, "in"), "--sender", args.sender,
-                "--receiver", args.receiver, "--transport", args.transport, "--out", args.out]
-        _write_manifest(
-            "exchange run",
-            {"sender": args.sender, "receiver": args.receiver, "transport": args.transport},
-            [getattr(args, "in")],
-            [args.out],
-            argv,
-        )
+        _write_manifest(args)
     return 0
 
 
 def cmd_testimage(args, parser) -> int:
     image = synthetic_test_image(args.width, args.height)
     Path(args.out).write_bytes(write_pgm(image))
-    argv = ["testimage", "--width", str(args.width), "--height", str(args.height), "--out", args.out]
-    _write_manifest("testimage", {"width": args.width, "height": args.height}, [], [args.out], argv)
+    _write_manifest(args)
     print(f"wrote {args.width}x{args.height} test image to {args.out}")
     return 0
 
@@ -381,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--damping", type=float, default=None)
     p.add_argument("--iters", type=int, default=100)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_simulate)
+    p.set_defaults(func=cmd_simulate, command_parser=p)
 
     p = subs.add_parser("lbe", help="lower bound error between two evaluation schemes")
     p.add_argument("--x0", type=float, default=0.1)
@@ -392,14 +339,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iters", type=int, default=100)
     p.add_argument("--out", required=True)
     p.add_argument("--report", action="store_true", help="print the Lyapunov fit as JSON")
-    p.set_defaults(func=cmd_lbe)
+    p.set_defaults(func=cmd_lbe, command_parser=p)
 
     p = subs.add_parser("keygen", help="write raw keystream bytes")
     _add_key_flags(p)
     p.add_argument("--count", type=int, default=65536, help="bytes to generate")
     p.add_argument("--hex", action="store_true", help="write hex text instead of raw bytes")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_keygen)
+    p.set_defaults(func=cmd_keygen, command_parser=p)
 
     for name, help_text in (
         ("encrypt", "XOR a PGM image with a generated key matrix"),
@@ -409,18 +356,18 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--in", required=True)
         p.add_argument("--out", required=True)
         _add_key_flags(p)
-        p.set_defaults(func=cmd_encrypt if name == "encrypt" else cmd_decrypt)
+        p.set_defaults(func=cmd_xor, command_parser=p)
 
     p = subs.add_parser("entropy", help="Shannon entropy of a PGM image or raw bytes")
     p.add_argument("--in", required=True)
     p.add_argument("--raw", action="store_true", help="treat input as raw bytes, not PGM")
-    p.set_defaults(func=cmd_entropy)
+    p.set_defaults(func=cmd_entropy, command_parser=p)
 
     p = subs.add_parser("histogram", help="256-bin histogram CSV of a PGM image or raw bytes")
     p.add_argument("--in", required=True)
     p.add_argument("--raw", action="store_true")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_histogram)
+    p.set_defaults(func=cmd_histogram, command_parser=p)
 
     p = subs.add_parser("exchange", help="two-device wire-protocol transfer")
     ex = p.add_subparsers(dest="exchange_command", required=True)
@@ -430,13 +377,13 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--profile", required=True, choices=sorted(PROFILES))
     q.add_argument("--out", required=True)
     q.add_argument("--expected", help="plaintext PGM to score the candidate against")
-    q.set_defaults(func=cmd_exchange_serve)
+    q.set_defaults(func=cmd_exchange_serve, command_parser=q)
 
     q = ex.add_parser("send", help="encrypt an image and push one frame")
     q.add_argument("--addr", required=True, help="host:port to connect to")
     q.add_argument("--profile", required=True, choices=sorted(PROFILES))
     q.add_argument("--in", required=True)
-    q.set_defaults(func=cmd_exchange_send)
+    q.set_defaults(func=cmd_exchange_send, command_parser=q)
 
     q = ex.add_parser("run", help="in-process sender->receiver exchange with a score")
     q.add_argument("--in", required=True)
@@ -444,13 +391,13 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--receiver", required=True, choices=sorted(PROFILES))
     q.add_argument("--transport", choices=("memory", "tcp"), default="memory")
     q.add_argument("--out")
-    q.set_defaults(func=cmd_exchange_run)
+    q.set_defaults(func=cmd_exchange_run, command_parser=q)
 
     p = subs.add_parser("testimage", help="write the bundled synthetic test image")
     p.add_argument("--width", type=int, default=256)
     p.add_argument("--height", type=int, default=256)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_testimage)
+    p.set_defaults(func=cmd_testimage, command_parser=p)
 
     return parser
 
@@ -460,10 +407,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, parser)
-    except (PgmError, ProtocolError, OrbitDivergenceError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
+    except (OrbitDivergenceError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -74,13 +74,13 @@ def encode_frame(image: GrayImage, msg_type: int = MSG_ENCRYPTED_IMAGE) -> bytes
     return _HEADER.pack(MAGIC, msg_type, image.width, image.height, len(payload)) + payload
 
 
-def decode_frame(frame: bytes) -> GrayImage:
-    """Inverse of encode_frame; raises ProtocolError with a distinct
-    message per failure mode.
+def _parse_header(header: bytes) -> tuple[int, int, int]:
+    """Validate a frame header; returns (width, height, payload_len).
+
+    Checks everything the header alone can tell, so a receiver rejects a
+    bad frame before it buffers any payload.
     """
-    if len(frame) < HEADER_SIZE:
-        raise ProtocolError(f"incomplete frame: {len(frame)} bytes, header needs {HEADER_SIZE}")
-    magic, msg_type, width, height, payload_len = _HEADER.unpack_from(frame)
+    magic, msg_type, width, height, payload_len = _HEADER.unpack_from(header)
     if magic != MAGIC:
         raise ProtocolError(f"bad magic {magic!r}: expected {MAGIC!r}")
     if msg_type != MSG_ENCRYPTED_IMAGE:
@@ -91,6 +91,16 @@ def decode_frame(frame: bytes) -> GrayImage:
         raise ProtocolError(
             f"length mismatch: payload {payload_len} bytes for {width}x{height} image"
         )
+    return width, height, payload_len
+
+
+def decode_frame(frame: bytes) -> GrayImage:
+    """Inverse of encode_frame; raises ProtocolError with a distinct
+    message per failure mode.
+    """
+    if len(frame) < HEADER_SIZE:
+        raise ProtocolError(f"incomplete frame: {len(frame)} bytes, header needs {HEADER_SIZE}")
+    width, height, payload_len = _parse_header(frame)
     payload = frame[HEADER_SIZE : HEADER_SIZE + payload_len]
     if len(payload) < payload_len:
         raise ProtocolError(f"incomplete frame: {len(payload)} of {payload_len} payload bytes")
@@ -119,14 +129,8 @@ def send_frame(conn: socket.socket, image: GrayImage) -> None:
 
 
 def recv_frame(conn: socket.socket) -> GrayImage:
-    header = _recv_exact(conn, HEADER_SIZE)
-    magic, msg_type, width, height, payload_len = _HEADER.unpack(header)
-    if magic != MAGIC:
-        raise ProtocolError(f"bad magic {magic!r}: expected {MAGIC!r}")
-    if payload_len > MAX_DIMENSION * MAX_DIMENSION:
-        raise ProtocolError(f"payload length {payload_len} exceeds limit")
-    payload = _recv_exact(conn, payload_len)
-    return decode_frame(header + payload)
+    width, height, payload_len = _parse_header(_recv_exact(conn, HEADER_SIZE))
+    return GrayImage.frombytes(_recv_exact(conn, payload_len), width, height)
 
 
 @dataclass(frozen=True)
@@ -154,28 +158,21 @@ class ExchangeReport:
         )
 
 
-def _loopback_transfer(frame: bytes) -> bytes:
-    """Push the frame through a real localhost TCP socket pair.
+def _loopback_transfer(image: GrayImage) -> GrayImage:
+    """Send the image as one frame through a real localhost TCP socket
+    pair and receive it on the other end.
 
     The writer runs on its own thread: frames routinely exceed the
-    kernel socket buffers, so a single-threaded sendall-then-recv would
+    kernel socket buffers, so a single-threaded send-then-receive would
     deadlock.
     """
-    with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as listener:
-        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        listener.bind(("127.0.0.1", 0))
-        listener.listen(1)
-        port = listener.getsockname()[1]
-        with socket.create_connection(("127.0.0.1", port)) as sender_conn:
+    with socket.create_server(("127.0.0.1", 0), backlog=1) as listener:
+        with socket.create_connection(listener.getsockname()) as sender_conn:
             receiver_conn, _ = listener.accept()
             with receiver_conn:
-                writer = threading.Thread(
-                    target=sender_conn.sendall, args=(frame,), daemon=True
-                )
+                writer = threading.Thread(target=send_frame, args=(sender_conn, image), daemon=True)
                 writer.start()
-                received = _recv_exact(receiver_conn, HEADER_SIZE)
-                _, _, _, _, payload_len = _HEADER.unpack(received)
-                received += _recv_exact(receiver_conn, payload_len)
+                received = recv_frame(receiver_conn)
                 writer.join()
     return received
 
@@ -193,10 +190,10 @@ def run_exchange(
         raise ValueError(f"unknown transport {transport!r}")
     send_key = sender.key_matrix(image.width, image.height)
     encrypted = xor_apply(image, send_key)
-    frame = encode_frame(encrypted)
     if transport == "tcp":
-        frame = _loopback_transfer(frame)
-    received = decode_frame(frame)
+        received = _loopback_transfer(encrypted)
+    else:
+        received = decode_frame(encode_frame(encrypted))
     recv_key = receiver.key_matrix(received.width, received.height)
     candidate = xor_apply(received, recv_key)
     match_fraction = float(np.mean(candidate.pixels == image.pixels))
@@ -225,10 +222,7 @@ def serve_once(
     is called with the bound port before blocking in accept, so a
     caller serving on port 0 can learn where to connect.
     """
-    with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as listener:
-        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        listener.bind((host, port))
-        listener.listen(1)
+    with socket.create_server((host, port), backlog=1) as listener:
         bound = listener.getsockname()[1]
         if on_bound is not None:
             on_bound(bound)

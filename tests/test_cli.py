@@ -1,5 +1,8 @@
 import json
+import socket
 import threading
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -222,39 +225,50 @@ def test_exchange_run_writes_candidate(tmp_path, image_file):
     assert read_pgm(out.read_bytes()).width == 256
 
 
-def test_exchange_serve_send_tcp(tmp_path, image_file, capsys):
-    import socket
-
-    # grab a free port, then serve on it in a thread
+def _free_addr() -> str:
     probe = socket.socket()
     probe.bind(("127.0.0.1", 0))
     port = probe.getsockname()[1]
     probe.close()
-    addr = f"127.0.0.1:{port}"
-    out = tmp_path / "recv.pgm"
+    return f"127.0.0.1:{port}"
+
+
+def _serve_while_sending(serve_argv, addr, profile, image_path) -> int:
+    """Run ``serve_argv`` in a thread and send it one image; returns the
+    serve exit code.
+    """
     results = {}
-
-    def serve():
-        results["code"] = run(
-            "exchange", "serve", "--addr", addr, "--profile", "device1",
-            "--out", str(out), "--expected", str(image_file),
-        )
-
-    thread = threading.Thread(target=serve, daemon=True)
+    thread = threading.Thread(target=lambda: results.update(code=main(serve_argv)), daemon=True)
     thread.start()
     code = 1
     for _ in range(50):
-        code = run("exchange", "send", "--addr", addr, "--profile", "device1", "--in", str(image_file))
+        code = run("exchange", "send", "--addr", addr, "--profile", profile, "--in", str(image_path))
         if code == 0:
             break
-        import time
-
         time.sleep(0.1)
     assert code == 0
     thread.join(timeout=10.0)
-    assert results.get("code") == 0
+    return results.get("code")
+
+
+def test_exchange_serve_send_tcp(tmp_path, image_file, capsys):
+    addr = _free_addr()
+    out = tmp_path / "recv.pgm"
+    serve_argv = [
+        "exchange", "serve", "--addr", addr, "--profile", "device1",
+        "--out", str(out), "--expected", str(image_file),
+    ]
+    assert _serve_while_sending(serve_argv, addr, "device1", image_file) == 0
     assert out.read_bytes() == image_file.read_bytes()
     assert "match=1.000000" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("port", ["65536", "99999"])
+def test_exchange_addr_port_out_of_range_is_usage_error(tmp_path, port):
+    with pytest.raises(SystemExit) as err:
+        run("exchange", "serve", "--addr", f"127.0.0.1:{port}", "--profile", "device1",
+            "--out", str(tmp_path / "r.pgm"))
+    assert err.value.code == 2
 
 
 # ---------------------------------------------------------------- testimage
@@ -271,3 +285,179 @@ def test_version_flag(capsys):
         run("--version")
     assert err.value.code == 0
     assert "cubicrypt" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------- manifests
+
+# (argv, subcommand, parameters, inputs, canonical argv). Every case runs
+# in a directory holding img.pgm, a 16x12 test image. subcommand,
+# parameters and inputs were recorded before the manifest writer was
+# derived from the parser; the canonical argv lists flags in each
+# subcommand's declaration order.
+_SINGLE_E1 = {"mode": "single", "scheme": "e1", "r": 3.6, "damping": None, "x0": 0.1,
+              "iterations": 70000, "seed_count": None, "iterations_per_seed": None}
+GOLDEN_MANIFESTS = [
+    (
+        ["simulate", "--iters", "30", "--out", "sim.csv"],
+        "simulate",
+        {"damping": None, "iters": 30, "r": 3.6, "scheme": "e1", "x0": 0.1},
+        [],
+        ["simulate", "--x0", "0.1", "--r", "3.6", "--scheme", "e1", "--iters", "30", "--out", "sim.csv"],
+    ),
+    (
+        ["simulate", "--scheme", "e3", "--damping", "0.89", "--r", "3.61", "--x0", "0.2",
+         "--iters", "40", "--out", "sim.csv"],
+        "simulate",
+        {"damping": 0.89, "iters": 40, "r": 3.61, "scheme": "e3", "x0": 0.2},
+        [],
+        ["simulate", "--x0", "0.2", "--r", "3.61", "--scheme", "e3", "--damping", "0.89",
+         "--iters", "40", "--out", "sim.csv"],
+    ),
+    (
+        ["lbe", "--report", "--damping", "0.89", "--r", "3.61", "--iters", "100", "--out", "lbe.csv"],
+        "lbe",
+        {"damping": 0.89, "iters": 100, "r": 3.61, "scheme_a": "e1", "scheme_b": "e2", "x0": 0.1},
+        [],
+        ["lbe", "--x0", "0.1", "--r", "3.61", "--scheme-a", "e1", "--scheme-b", "e2",
+         "--damping", "0.89", "--iters", "100", "--out", "lbe.csv", "--report"],
+    ),
+    (
+        ["keygen", "--iters", "500", "--x0", "0.3", "--scheme", "e2", "--count", "64", "--out", "k.bin"],
+        "keygen",
+        {"count": 64, "hex": False, "mode": "single", "scheme": "e2", "r": 3.6, "damping": None,
+         "x0": 0.3, "iterations": 500, "seed_count": None, "iterations_per_seed": None},
+        [],
+        ["keygen", "--x0", "0.3", "--r", "3.6", "--scheme", "e2", "--iters", "500",
+         "--count", "64", "--out", "k.bin"],
+    ),
+    (
+        ["keygen", "--damping", "0.89", "--seeds", "3", "--iters-per-seed", "8", "--r", "3.61",
+         "--count", "24", "--out", "k.bin"],
+        "keygen",
+        {"count": 24, "hex": False, "mode": "multiseed", "scheme": "e1", "r": 3.61, "damping": 0.89,
+         "x0": None, "iterations": None, "seed_count": 3, "iterations_per_seed": 8},
+        [],
+        ["keygen", "--r", "3.61", "--scheme", "e1", "--damping", "0.89", "--seeds", "3",
+         "--iters-per-seed", "8", "--count", "24", "--out", "k.bin"],
+    ),
+    (
+        ["keygen", "--hex", "--profile", "device2-damped", "--count", "32", "--out", "k.hex"],
+        "keygen",
+        {"count": 32, "hex": True, "mode": "multiseed", "scheme": "e2", "r": 3.61, "damping": 0.89,
+         "x0": None, "iterations": None, "seed_count": 70, "iterations_per_seed": 1024},
+        [],
+        ["keygen", "--profile", "device2-damped", "--count", "32", "--hex", "--out", "k.hex"],
+    ),
+    (
+        ["encrypt", "--scheme", "e3", "--x0", "0.25", "--damping", "0.97", "--in", "img.pgm",
+         "--iters", "1000", "--out", "enc.pgm"],
+        "encrypt",
+        {"width": 16, "height": 12, "mode": "single", "scheme": "e3", "r": 3.6, "damping": 0.97,
+         "x0": 0.25, "iterations": 1000, "seed_count": None, "iterations_per_seed": None},
+        ["img.pgm"],
+        ["encrypt", "--in", "img.pgm", "--out", "enc.pgm", "--x0", "0.25", "--r", "3.6",
+         "--scheme", "e3", "--damping", "0.97", "--iters", "1000"],
+    ),
+    (
+        ["decrypt", "--in", "img.pgm", "--profile", "device1", "--out", "dec.pgm"],
+        "decrypt",
+        {"width": 16, "height": 12, **_SINGLE_E1},
+        ["img.pgm"],
+        ["decrypt", "--in", "img.pgm", "--out", "dec.pgm", "--profile", "device1"],
+    ),
+    (
+        ["histogram", "--in", "img.pgm", "--out", "h.csv"],
+        "histogram",
+        {"raw": False, "total": 192},
+        ["img.pgm"],
+        ["histogram", "--in", "img.pgm", "--out", "h.csv"],
+    ),
+    (
+        ["histogram", "--raw", "--in", "img.pgm", "--out", "h.csv"],
+        "histogram",
+        {"raw": True, "total": 205},
+        ["img.pgm"],
+        ["histogram", "--in", "img.pgm", "--raw", "--out", "h.csv"],
+    ),
+    (
+        ["exchange", "run", "--in", "img.pgm", "--sender", "device1", "--receiver", "device2",
+         "--out", "cand.pgm"],
+        "exchange run",
+        {"receiver": "device2", "sender": "device1", "transport": "memory"},
+        ["img.pgm"],
+        ["exchange", "run", "--in", "img.pgm", "--sender", "device1", "--receiver", "device2",
+         "--transport", "memory", "--out", "cand.pgm"],
+    ),
+    (
+        ["exchange", "run", "--transport", "tcp", "--in", "img.pgm", "--sender", "device3-damped",
+         "--receiver", "device3-damped", "--out", "cand.pgm"],
+        "exchange run",
+        {"receiver": "device3-damped", "sender": "device3-damped", "transport": "tcp"},
+        ["img.pgm"],
+        ["exchange", "run", "--in", "img.pgm", "--sender", "device3-damped",
+         "--receiver", "device3-damped", "--transport", "tcp", "--out", "cand.pgm"],
+    ),
+    (
+        ["testimage", "--height", "5", "--width", "7", "--out", "t.pgm"],
+        "testimage",
+        {"height": 5, "width": 7},
+        [],
+        ["testimage", "--width", "7", "--height", "5", "--out", "t.pgm"],
+    ),
+]
+
+
+def _check_manifest(out, subcommand, parameters, inputs, canonical, rerun=main):
+    """Assert the manifest next to ``out``, then delete both files and
+    check that replaying its argv with ``rerun`` rewrites them byte for
+    byte.
+    """
+    out_path, manifest_path = Path(out), Path(out + ".manifest.json")
+    manifest = json.loads(manifest_path.read_text())
+    assert manifest["subcommand"] == subcommand
+    assert manifest["parameters"] == parameters
+    assert manifest["inputs"] == inputs
+    assert manifest["outputs"] == [out]
+    assert manifest["version"] == "0.1.0"
+    assert manifest["argv"] == canonical
+    first = out_path.read_bytes(), manifest_path.read_bytes()
+    replay = replay_argv(str(manifest_path))
+    out_path.unlink()
+    manifest_path.unlink()
+    assert rerun(replay) == 0
+    assert (out_path.read_bytes(), manifest_path.read_bytes()) == first
+
+
+@pytest.mark.parametrize(
+    "argv, subcommand, parameters, inputs, canonical",
+    GOLDEN_MANIFESTS,
+    ids=[" ".join(case[0][:3]) for case in GOLDEN_MANIFESTS],
+)
+def test_manifest_golden_and_replay(
+    tmp_path, monkeypatch, argv, subcommand, parameters, inputs, canonical
+):
+    monkeypatch.chdir(tmp_path)
+    assert run("testimage", "--width", "16", "--height", "12", "--out", "img.pgm") == 0
+    assert main(argv) == 0
+    _check_manifest(argv[argv.index("--out") + 1], subcommand, parameters, inputs, canonical)
+
+
+def test_manifest_golden_and_replay_exchange_serve(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run("testimage", "--width", "16", "--height", "12", "--out", "img.pgm") == 0
+    addr = _free_addr()
+
+    def serve(argv):
+        return _serve_while_sending(argv, addr, "device4", "img.pgm")
+
+    assert serve(["exchange", "serve", "--expected", "img.pgm", "--addr", addr,
+                  "--profile", "device4", "--out", "recv.pgm"]) == 0
+    _check_manifest(
+        "recv.pgm",
+        "exchange serve",
+        {"addr": addr, "profile": "device4"},
+        ["img.pgm"],
+        ["exchange", "serve", "--addr", addr, "--profile", "device4", "--out", "recv.pgm",
+         "--expected", "img.pgm"],
+        rerun=serve,
+    )

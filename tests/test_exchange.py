@@ -1,3 +1,4 @@
+import socket
 import threading
 
 import numpy as np
@@ -14,6 +15,7 @@ from cubicrypt.exchange import (
     ProtocolError,
     decode_frame,
     encode_frame,
+    recv_frame,
     run_exchange,
     send_image,
     serve_once,
@@ -111,6 +113,26 @@ def test_decode_rejects_zero_dimensions():
     frame = MAGIC + bytes([1]) + (0).to_bytes(4, "big") * 2 + (0).to_bytes(4, "big")
     with pytest.raises(ProtocolError, match="dimensions"):
         decode_frame(frame)
+
+
+@pytest.mark.parametrize(
+    "msg_type, payload_len, message",
+    [
+        (0x01, 5000, "length mismatch"),
+        (0x09, 4, "message type"),
+        (0x01, 2**32 - 1, "length mismatch"),
+    ],
+)
+def test_recv_frame_rejects_header_before_reading_payload(msg_type, payload_len, message):
+    header = MAGIC + bytes([msg_type]) + (2).to_bytes(4, "big") * 2 + payload_len.to_bytes(4, "big")
+    reader, writer = socket.socketpair()
+    with reader, writer:
+        reader.settimeout(5.0)
+        writer.sendall(header + b"rest")
+        with pytest.raises(ProtocolError, match=message):
+            recv_frame(reader)
+        # not one byte past the header was consumed
+        assert reader.recv(16) == b"rest"
 
 
 # ---------------------------------------------------------------- exchange

@@ -1,8 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cubicrypt.exchange import PROFILES
 from cubicrypt.keygen import (
     KEY_BYTE_MAX,
     MITIGATION_DAMPING,
@@ -168,6 +171,29 @@ def test_e1_e4_streams_identical():
     a = generate_keystream(KeystreamConfig.single_orbit(scheme=EvaluationScheme.E1), 4096)
     b = generate_keystream(KeystreamConfig.single_orbit(scheme=EvaluationScheme.E4), 4096)
     assert np.array_equal(a, b)
+
+
+# SHA-256 of each device profile's full keystream (available_samples
+# bytes). Pinned so that a change to any scheme's operation order, to the
+# normalization, or to the platform's binary64 arithmetic fails here, not
+# only in a same-machine parity check.
+PROFILE_KEYSTREAM_SHA256 = {
+    "device1": "7e886fae6e90ced7c2f035bbc2706e816012fab410d87c616d502cd2f331dd1b",
+    "device1-damped": "29c000e3fea6319a3419bff8400e38a29d4c5b486a24bc1eb8a47e398f87f09f",
+    "device2": "657e2aa8193c04f1bae5ca98238dc75909364a516f4b7b1a3f1eb1c2b3f471de",
+    "device2-damped": "904662d6396fa276cf1826acdaab2a0ecc32133743d2f5fac7cc614596d4e2a8",
+    "device3": "3a100bb6f66c1e1099d98de2be512ef4928e055356f20c326019ade64b2e8995",
+    "device3-damped": "21548a5980a66a9ca0772161e72e7fa97cac4c7830789bbf684c5e1b044ce89f",
+    "device4": "7e886fae6e90ced7c2f035bbc2706e816012fab410d87c616d502cd2f331dd1b",
+    "device4-damped": "29c000e3fea6319a3419bff8400e38a29d4c5b486a24bc1eb8a47e398f87f09f",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PROFILE_KEYSTREAM_SHA256))
+def test_profile_keystream_golden_digest(name):
+    config = PROFILES[name].keystream
+    stream = generate_keystream(config, config.available_samples)
+    assert hashlib.sha256(stream.tobytes()).hexdigest() == PROFILE_KEYSTREAM_SHA256[name]
 
 
 # ---------------------------------------------------------------- key matrix
