@@ -1,29 +1,17 @@
-import os
-
 from setuptools import Extension, setup
 
 # The compiled kernels must execute the exact written operation order:
 # no FMA contraction, no reassociation. -ffp-contract=off pins that for
-# gcc/clang; -ffast-math style flags must never be added here.
-STRICT_FP_FLAGS = ["-O2", "-ffp-contract=off"]
-
-extensions = [
-    Extension(
-        "cubicrypt._core",
-        ["src/cubicrypt/_core.pyx"],
-        extra_compile_args=STRICT_FP_FLAGS,
-    )
-]
-
-ext_modules = []
-if not os.environ.get("CUBICRYPT_PURE"):
-    try:
-        from Cython.Build import cythonize
-    except ImportError:
-        pass  # pure-Python fallback is selected at import time
-    else:
-        ext_modules = cythonize(
-            extensions, compiler_directives={"language_level": "3"}
+# gcc/clang; -ffast-math style flags must never be added here. The
+# extension is optional: without a C compiler the install still succeeds
+# and the pure-Python kernels are selected at import time.
+setup(
+    ext_modules=[
+        Extension(
+            "cubicrypt._core",
+            ["src/cubicrypt/_core.c"],
+            extra_compile_args=["-O2", "-ffp-contract=off"],
+            optional=True,
         )
-
-setup(ext_modules=ext_modules)
+    ]
+)

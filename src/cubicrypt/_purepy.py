@@ -3,7 +3,8 @@
 Fallback used when the compiled extension is unavailable. Every arithmetic
 operation here is IEEE 754 binary64 with round-to-nearest-even, applied in
 the exact order written, so results are bit-identical to the compiled
-kernels in ``_core.pyx``.
+kernels in ``_core.c``. Invalid arguments raise the same exception types
+there and here, before anything is written.
 """
 
 import numpy as np
@@ -22,10 +23,13 @@ def run_orbit(x0, r, scheme, damping, n):
     Returns ``(samples, escape_index)`` where ``samples`` is a float64
     array of length n + 1 with samples[0] == x0, and ``escape_index`` is
     the index of the first sample outside [-1.5, 1.5] (iteration stops
-    there), or -1 if the whole orbit stayed inside.
+    there), or -1 if the whole orbit stayed inside. Raises ValueError for
+    an unknown scheme or a negative ``n``.
     """
     if scheme not in (1, 2, 3, 4):
         raise ValueError(f"unknown evaluation scheme id {scheme!r}")
+    if n < 0:
+        raise ValueError(f"iteration count must be >= 0, got {n}")
     if scheme == 4:
         scheme = 1  # E4's ((r*x)*x)*x is E1's operation order, bit for bit
     out = np.empty(n + 1, dtype=np.float64)
@@ -66,8 +70,16 @@ def normalize_block(samples, out):
     Writes bytes into ``out`` and returns -1, or the index of the first
     sample outside [-1, 1] (bytes before that index are still written,
     matching the sequential kernel).
+
+    ``samples`` must be a 1-D contiguous float64 buffer (format 'd') and
+    ``out`` a writable 1-D contiguous uint8 buffer (format 'B') at least
+    as long: ValueError for the wrong shape, a read-only or short ``out``,
+    TypeError for the wrong item format.
     """
-    s = np.asarray(samples, dtype=np.float64)
+    s = np.asarray(_block(samples, "samples", "d", writable=False))
+    o = np.asarray(_block(out, "out", "B", writable=True))
+    if len(o) < len(s):
+        raise ValueError(f"out holds {len(o)} bytes, samples has {len(s)}")
     bad = (s < -1.0) | (s > 1.0) | np.isnan(s)
     stop = int(np.argmax(bad)) if bad.any() else -1
     if stop >= 0:
@@ -75,5 +87,17 @@ def normalize_block(samples, out):
     y = s / 2.0 + 1.0
     z = y * 1000.0
     frac = z - np.floor(z)
-    out[: len(s)] = np.floor(255.0 * frac).astype(np.uint8)
+    o[: len(s)] = np.floor(255.0 * frac).astype(np.uint8)
     return stop
+
+
+def _block(obj, name, fmt, writable):
+    """``obj``'s buffer, checked as ``_core.c``'s get_block checks it."""
+    view = memoryview(obj)
+    if view.ndim != 1 or not view.c_contiguous:
+        raise ValueError(f"{name} must be a 1-D contiguous buffer")
+    if view.format != fmt:
+        raise TypeError(f"{name} must have item format '{fmt}', got '{view.format}'")
+    if writable and view.readonly:
+        raise ValueError(f"{name} must be writable")
+    return view

@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
 
+from cubicrypt import KERNEL_BACKEND, available_backends
 from cubicrypt.cipher import GrayImage
 from cubicrypt.testimage import synthetic_test_image
+
+
+def pytest_report_header(config):
+    # names the kernels under test, so a skipped parity module shows in the log
+    return f"cubicrypt kernels: default {KERNEL_BACKEND}, importable {sorted(available_backends())}"
 
 
 @pytest.fixture(scope="session")
