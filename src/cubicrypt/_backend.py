@@ -18,6 +18,7 @@ else:
 BACKEND: str = _impl.BACKEND
 run_orbit = _impl.run_orbit
 normalize_block = _impl.normalize_block
+keystream = _impl.keystream
 
 
 def available_backends():

@@ -5,14 +5,14 @@
  * with -ffp-contract=off (setup.py does) so the compiler cannot fuse a
  * multiply and an add; never add -ffast-math or anything that implies it.
  * Every argument is checked before the first write, and errors have the
- * same types as in _purepy. Only the CPython API and the buffer protocol
- * are used; the orbit array comes from numpy.empty.
+ * same types as in _purepy, and no double outside an integer type's range
+ * (or NaN) is ever converted to one. Only the CPython API and the buffer
+ * protocol are used; the orbit array comes from numpy.empty.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <float.h>
 #include <string.h>
-#include <math.h>
 
 #if FLT_EVAL_METHOD != 0
 #error "binary64 expressions must be evaluated in binary64 (FLT_EVAL_METHOD 0)"
@@ -20,8 +20,29 @@
 
 static PyObject *numpy_empty;
 
+/* One undamped map step in the scheme's exact operation order (1..3). */
+static inline double
+cubic_step(double x, double r, double omr, int scheme)
+{
+    double t;
+    if (scheme == 1) {
+        t = r * x;
+        t = t * x;
+        t = t * x;
+        return t + omr * x;
+    }
+    if (scheme == 2) {
+        t = (x * x) * x;
+        t = r * t;
+        return t + (x - r * x);
+    }
+    t = (r * x) * x;
+    t = t + omr;
+    return x * t;
+}
+
 static PyObject *
-run_orbit(PyObject *self, PyObject *args, PyObject *kwargs)
+run_orbit(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwargs)
 {
     static char *kwlist[] = {"x0", "r", "scheme", "damping", "n", NULL};
     double x0, r, damping;
@@ -48,26 +69,12 @@ run_orbit(PyObject *self, PyObject *args, PyObject *kwargs)
         return NULL;
     }
     double *out = view.buf;
-    double x = x0, omr = 1.0 - r, t, y;
+    double x = x0, omr = 1.0 - r, y;
     Py_ssize_t escape = -1;
     out[0] = x;
     Py_BEGIN_ALLOW_THREADS
     for (Py_ssize_t k = 0; k < n; k++) {
-        if (scheme == 1) {
-            t = r * x;
-            t = t * x;
-            t = t * x;
-            y = t + omr * x;
-        } else if (scheme == 2) {
-            t = (x * x) * x;
-            t = r * t;
-            y = t + (x - r * x);
-        } else {
-            t = (r * x) * x;
-            t = t + omr;
-            y = x * t;
-        }
-        y = damping * y;
+        y = damping * cubic_step(x, r, omr, scheme);
         out[k + 1] = y;
         if (!(-1.5 <= y && y <= 1.5)) { /* also catches NaN */
             escape = k + 1;
@@ -99,8 +106,18 @@ get_block(PyObject *obj, Py_buffer *view, const char *name, const char *fmt, int
     return -1;
 }
 
+/* Key byte of a sample x in [-1, 1]: floor(255 * frac(1000 * (x/2 + 1))).
+ * z lies in [500, 1500] and 255*frac in [0, 255), so each truncating cast
+ * is the floor of an in-range non-negative value, never undefined. */
+static inline unsigned char
+key_byte(double x)
+{
+    double z = (x / 2.0 + 1.0) * 1000.0;
+    return (unsigned char)(255.0 * (z - (double)(int)z));
+}
+
 static PyObject *
-normalize_block(PyObject *self, PyObject *args, PyObject *kwargs)
+normalize_block(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwargs)
 {
     static char *kwlist[] = {"samples", "out", NULL};
     PyObject *samples_obj, *out_obj;
@@ -124,17 +141,113 @@ normalize_block(PyObject *self, PyObject *args, PyObject *kwargs)
     const double *s = sv.buf;
     unsigned char *out = ov.buf;
     for (Py_ssize_t i = 0; i < n; i++) {
-        double x = s[i];
-        if (!(-1.0 <= x && x <= 1.0)) { /* also catches NaN */
+        if (!(-1.0 <= s[i] && s[i] <= 1.0)) { /* also catches NaN */
             stop = i;
             break;
         }
-        double z = (x / 2.0 + 1.0) * 1000.0;
-        out[i] = (unsigned char)floor(255.0 * (z - floor(z)));
     }
+    Py_ssize_t valid = stop < 0 ? n : stop;
+    for (Py_ssize_t i = 0; i < valid; i++)
+        out[i] = key_byte(s[i]);
     PyBuffer_Release(&ov);
     PyBuffer_Release(&sv);
     return PyLong_FromSsize_t(stop);
+}
+
+/* Orbits of up to LANES seeds advanced side by side: the lanes are
+ * independent dependency chains, so the CPU overlaps their latencies. */
+#define LANES 8
+
+typedef struct {
+    Py_ssize_t index; /* -1: the lane is clean */
+    int escaped;
+    double value;
+} lane_fault;
+
+/* One group of m <= LANES lanes, each `block` iterations; lane j writes its
+ * bytes to out + j*block. A lane stops at its first escape, which is its
+ * fault; otherwise its fault is its first sample outside [-1, 1]. */
+static void
+run_lanes(const double *x0, int m, double r, int scheme, double damping, Py_ssize_t block,
+          unsigned char *out, lane_fault *fault)
+{
+    double x[LANES], omr = 1.0 - r, y;
+    int running = m;
+    for (int j = 0; j < m; j++) {
+        x[j] = x0[j];
+        fault[j].index = -1;
+        fault[j].escaped = 0;
+    }
+    for (Py_ssize_t k = 0; k < block && running; k++) {
+        for (int j = 0; j < m; j++) {
+            if (fault[j].escaped)
+                continue;
+            y = damping * cubic_step(x[j], r, omr, scheme);
+            if (!(-1.5 <= y && y <= 1.5)) { /* also catches NaN */
+                fault[j] = (lane_fault){k + 1, 1, y};
+                running--;
+                continue;
+            }
+            if (-1.0 <= y && y <= 1.0)
+                out[j * block + k] = key_byte(y);
+            else if (fault[j].index < 0)
+                fault[j] = (lane_fault){k, 0, y};
+            x[j] = y;
+        }
+    }
+}
+
+static PyObject *
+keystream(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwargs)
+{
+    static char *kwlist[] = {"x0s", "r", "scheme", "damping", "block", "out", NULL};
+    PyObject *x0s_obj, *out_obj;
+    double r, damping;
+    int scheme;
+    Py_ssize_t block;
+    Py_buffer xv, ov;
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OdidnO:keystream", kwlist,
+                                     &x0s_obj, &r, &scheme, &damping, &block, &out_obj))
+        return NULL;
+    if (scheme < 1 || scheme > 4)
+        return PyErr_Format(PyExc_ValueError, "unknown evaluation scheme id %d", scheme);
+    if (block < 0)
+        return PyErr_Format(PyExc_ValueError, "block length must be >= 0, got %zd", block);
+    if (scheme == 4)
+        scheme = 1; /* E4's ((r*x)*x)*x is E1's operation order, bit for bit */
+    if (get_block(x0s_obj, &xv, "x0s", "d", 0) < 0)
+        return NULL;
+    if (get_block(out_obj, &ov, "out", "B", 1) < 0) {
+        PyBuffer_Release(&xv);
+        return NULL;
+    }
+    Py_ssize_t lanes = xv.shape[0];
+    if (block > 0 && (lanes > PY_SSIZE_T_MAX / block || ov.shape[0] < lanes * block)) {
+        PyErr_Format(PyExc_ValueError, "out holds %zd bytes, %zd lanes of %zd needed",
+                     ov.shape[0], lanes, block);
+        PyBuffer_Release(&ov);
+        PyBuffer_Release(&xv);
+        return NULL;
+    }
+    const double *x0 = xv.buf;
+    unsigned char *out = ov.buf;
+    lane_fault fault[LANES];
+    Py_ssize_t failed = -1;
+    Py_BEGIN_ALLOW_THREADS
+    for (Py_ssize_t g = 0; g < lanes && failed < 0; g += LANES) {
+        int m = lanes - g < LANES ? (int)(lanes - g) : LANES;
+        run_lanes(x0 + g, m, r, scheme, damping, block, out + g * block, fault);
+        for (int j = 0; j < m && failed < 0; j++)
+            if (fault[j].index >= 0)
+                failed = g + j;
+    }
+    Py_END_ALLOW_THREADS
+    PyBuffer_Release(&ov);
+    PyBuffer_Release(&xv);
+    if (failed < 0)
+        Py_RETURN_NONE;
+    lane_fault *f = &fault[failed % LANES];
+    return Py_BuildValue("nNnd", failed, PyBool_FromLong(f->escaped), f->index, f->value);
 }
 
 static PyMethodDef core_methods[] = {
@@ -142,11 +255,17 @@ static PyMethodDef core_methods[] = {
      "Mirror of _purepy.run_orbit; see its docstring for the contract."},
     {"normalize_block", (PyCFunction)(void (*)(void))normalize_block, METH_VARARGS | METH_KEYWORDS,
      "Mirror of _purepy.normalize_block; see its docstring."},
+    {"keystream", (PyCFunction)(void (*)(void))keystream, METH_VARARGS | METH_KEYWORDS,
+     "Mirror of _purepy.keystream; see its docstring for the contract."},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef core_module = {
-    PyModuleDef_HEAD_INIT, "_core", "Compiled orbit and keystream kernels.", -1, core_methods,
+    PyModuleDef_HEAD_INIT,
+    .m_name = "_core",
+    .m_doc = "Compiled orbit and keystream kernels.",
+    .m_size = -1,
+    .m_methods = core_methods,
 };
 
 PyMODINIT_FUNC

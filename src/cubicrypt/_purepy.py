@@ -7,6 +7,9 @@ kernels in ``_core.c``. Invalid arguments raise the same exception types
 there and here, before anything is written.
 """
 
+import operator
+import sys
+
 import numpy as np
 
 BACKEND = "python"
@@ -24,18 +27,18 @@ def run_orbit(x0, r, scheme, damping, n):
     array of length n + 1 with samples[0] == x0, and ``escape_index`` is
     the index of the first sample outside [-1.5, 1.5] (iteration stops
     there), or -1 if the whole orbit stayed inside. Raises ValueError for
-    an unknown scheme or a negative ``n``.
+    an unknown scheme or a negative ``n``; arguments convert as
+    ``_core.c``'s ``"ddidn"`` parse does (see ``_double`` and ``_int``).
     """
-    if scheme not in (1, 2, 3, 4):
-        raise ValueError(f"unknown evaluation scheme id {scheme!r}")
+    x0, r, scheme = _double(x0), _double(r), _int(scheme, _C_INT)
+    damping, n = _double(damping), _int(n, _C_SSIZE)
+    _check_scheme(scheme)
     if n < 0:
         raise ValueError(f"iteration count must be >= 0, got {n}")
     if scheme == 4:
         scheme = 1  # E4's ((r*x)*x)*x is E1's operation order, bit for bit
     out = np.empty(n + 1, dtype=np.float64)
-    x = float(x0)
-    r = float(r)
-    damping = float(damping)
+    x = x0
     omr = 1.0 - r  # hoisted; bit-identical to recomputing per step
     out[0] = x
     for k in range(n):
@@ -89,6 +92,66 @@ def normalize_block(samples, out):
     frac = z - np.floor(z)
     o[: len(s)] = np.floor(255.0 * frac).astype(np.uint8)
     return stop
+
+
+def keystream(x0s, r, scheme, damping, block, out):
+    """Key bytes of one orbit per seed in ``x0s``, ``block`` iterations each.
+
+    Seed ``i``'s iterates 1..block, normalized, go to
+    ``out[i*block:(i+1)*block]``. Returns None when every seed is clean,
+    else the first faulty seed's ``(lane, escaped, index, value)``: a
+    seed's fault is its escape (``index`` as ``run_orbit``'s escape index)
+    wherever in the block it lies, otherwise its first sample outside
+    [-1, 1] (``index`` as ``normalize_block``'s stop index); ``value`` is
+    that sample. Bytes of a faulty seed are unspecified.
+
+    Checks as ``run_orbit`` and ``normalize_block`` do, in this order:
+    ``scheme``, ``block >= 0``, ``x0s`` (a 1-D contiguous float64 buffer),
+    ``out`` (a writable 1-D contiguous uint8 buffer of at least
+    ``len(x0s) * block`` bytes).
+    """
+    r, scheme = _double(r), _int(scheme, _C_INT)
+    damping, block = _double(damping), _int(block, _C_SSIZE)
+    _check_scheme(scheme)
+    if block < 0:
+        raise ValueError(f"block length must be >= 0, got {block}")
+    seeds = _block(x0s, "x0s", "d", writable=False)
+    o = np.asarray(_block(out, "out", "B", writable=True))
+    if len(o) < len(seeds) * block:
+        raise ValueError(f"out holds {len(o)} bytes, {len(seeds)} lanes of {block} needed")
+    for lane, x0 in enumerate(seeds):
+        samples, escape = run_orbit(x0, r, scheme, damping, block)
+        if escape >= 0:
+            return lane, True, escape, float(samples[escape])
+        bad = normalize_block(samples[1:], o[lane * block : (lane + 1) * block])
+        if bad >= 0:
+            return lane, False, bad, float(samples[bad + 1])
+    return None
+
+
+_C_INT = 1 << 31  # ranges [-limit, limit) of C int and Py_ssize_t
+_C_SSIZE = sys.maxsize + 1
+
+
+def _double(value):
+    """``value`` as a C ``"d"`` argument takes it: any real number, not a str."""
+    if not hasattr(type(value), "__float__") and not hasattr(type(value), "__index__"):
+        raise TypeError(f"must be real number, not {type(value).__name__}")
+    return float(value)
+
+
+def _int(value, limit):
+    """``value`` as a C ``"i"`` or ``"n"`` argument takes it: an integer,
+    not a float (TypeError), in [-limit, limit) (OverflowError)."""
+    value = operator.index(value)
+    if not -limit <= value < limit:
+        raise OverflowError(f"Python int too large to convert to C integer (limit {limit})")
+    return value
+
+
+def _check_scheme(scheme):
+    if scheme not in (1, 2, 3, 4):
+        raise ValueError(f"unknown evaluation scheme id {scheme!r}")
 
 
 def _block(obj, name, fmt, writable):

@@ -13,13 +13,20 @@ rounding differences can grow before the next seed resets the orbit,
 which is the whole point of the mitigation.
 """
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Literal
 
 import numpy as np
 
 from cubicrypt import _backend
-from cubicrypt.maps import EvaluationScheme, MapConfig, iterate_orbit
+from cubicrypt.maps import (  # noqa: F401  callers look iterate_orbit up here
+    EvaluationScheme,
+    MapConfig,
+    OrbitDivergenceError,
+    iterate_orbit,
+)
 
 SINGLE_ORBIT_ITERATIONS = 70_000
 MULTI_SEED_COUNT = 70
@@ -143,23 +150,18 @@ def normalize_sample(x: float) -> int:
     return int(out[0])
 
 
-def _normalized(samples: np.ndarray) -> np.ndarray:
-    out = np.empty(len(samples), dtype=np.uint8)
-    bad = _backend.normalize_block(np.ascontiguousarray(samples), out)
-    if bad >= 0:
-        raise ValueError(
-            f"orbit sample at index {bad} ({samples[bad]!r}) outside [-1, 1]"
-        )
-    return out
-
-
 def generate_keystream(config: KeystreamConfig, count: int) -> np.ndarray:
     """First ``count`` bytes of the keystream described by ``config``.
 
     Single-orbit mode normalizes iterates 1..count. Multi-seed mode
     concatenates each seed's normalized iterates in seed order (seed
     ascending, iterate ascending) and truncates; the order is part of the
-    key-agreement contract, since any reorder breaks decryption.
+    key-agreement contract, since any reorder breaks decryption. Each seed
+    the stream reaches is checked over its whole block, and faults are
+    reported in seed order, an escape before an out-of-range sample.
+
+    Streams are cached per config (see ``_StreamCache``); the caller always
+    gets an array of its own.
     """
     if count < 0:
         raise ValueError(f"sample count must be >= 0, got {count}")
@@ -168,27 +170,100 @@ def generate_keystream(config: KeystreamConfig, count: int) -> np.ndarray:
             f"keystream needs {count} samples but the config provides only "
             f"{config.available_samples}"
         )
+    cached = _cache.get(config, count)
+    if cached is not None:
+        return cached
     if config.mode == "single":
-        orbit = iterate_orbit(
-            MapConfig(r=config.r, x0=config.x0, damping=config.damping, scheme=config.scheme),
-            count,
-        )
-        return _normalized(orbit.samples[1:])
-    parts = []
-    remaining = count
-    for x0 in config.seeds():
-        if remaining <= 0:
-            break
-        orbit = iterate_orbit(
-            MapConfig(r=config.r, x0=x0, damping=config.damping, scheme=config.scheme),
-            config.iterations_per_seed,
-        )
-        block = _normalized(orbit.samples[1:])
-        parts.append(block[:remaining])
-        remaining -= len(parts[-1])
-    if parts:
-        return np.concatenate(parts)
-    return np.empty(0, dtype=np.uint8)
+        x0s, block = [config.x0], count
+    else:
+        block = config.iterations_per_seed
+        x0s = config.seeds()[: -(-count // block)]
+    if not x0s:
+        return np.empty(0, dtype=np.uint8)
+    # MapConfig checks r, x0 and damping; the other seeds lie inside (0, 1)
+    map_config = MapConfig(r=config.r, x0=x0s[0], damping=config.damping, scheme=config.scheme)
+    stream = np.empty(len(x0s) * block, dtype=np.uint8)
+    fault = _backend.keystream(
+        np.array(x0s, dtype=np.float64),
+        map_config.r,
+        int(map_config.scheme),
+        map_config.effective_damping,
+        block,
+        stream,
+    )
+    if fault is not None:
+        _, escaped, index, value = fault
+        if escaped:
+            raise OrbitDivergenceError(index, value)
+        raise ValueError(f"orbit sample at index {index} ({np.float64(value)!r}) outside [-1, 1]")
+    if _cache.put(config, stream):
+        return stream[:count].copy()
+    return stream[:count]
+
+
+class _StreamCache:
+    """Least-recently-used keystreams, at most ``budget`` bytes in total.
+
+    Keystreams are prefix-closed in ``count``, so one entry per config, the
+    longest stream computed so far, serves every shorter request by
+    slicing. An entry holds exactly what was computed and checked (whole
+    seed blocks in multi-seed mode), never more, so a short request keeps
+    succeeding where a longer one would fail. Stored arrays are read-only
+    and callers get copies; failures are never stored. Each entry also
+    counts ``ENTRY_OVERHEAD`` bytes against the budget, so tiny streams
+    cannot pile up without bound.
+    """
+
+    ENTRY_OVERHEAD = 1024
+
+    def __init__(self, budget: int):
+        self.budget = budget
+        self.nbytes = 0
+        self._streams: OrderedDict[KeystreamConfig, np.ndarray] = OrderedDict()
+        self._lock = threading.Lock()
+
+    def _cost(self, stream: np.ndarray) -> int:
+        return stream.nbytes + self.ENTRY_OVERHEAD
+
+    def get(self, config: KeystreamConfig, count: int) -> np.ndarray | None:
+        with self._lock:
+            stream = self._streams.get(config)
+            if stream is None or len(stream) < count:
+                return None
+            self._streams.move_to_end(config)
+        return stream[:count].copy()
+
+    def put(self, config: KeystreamConfig, stream: np.ndarray) -> bool:
+        """Keep ``stream``, made read-only; False if it exceeds the budget."""
+        if self._cost(stream) > self.budget:
+            return False
+        stream.flags.writeable = False
+        with self._lock:
+            old = self._streams.pop(config, None)
+            if old is not None:
+                self.nbytes -= self._cost(old)
+                if len(old) > len(stream):  # another thread stored more meanwhile
+                    stream = old
+            self._streams[config] = stream
+            self.nbytes += self._cost(stream)
+            while self.nbytes > self.budget:
+                _, evicted = self._streams.popitem(last=False)
+                self.nbytes -= self._cost(evicted)
+        return True
+
+    def clear(self) -> None:
+        with self._lock:
+            self._streams.clear()
+            self.nbytes = 0
+
+
+# Holds every PROFILES keystream in full (566 720 bytes), so 256x256 keys too.
+CACHE_BYTES = 1 << 20
+_cache = _StreamCache(CACHE_BYTES)
+
+
+def _clear_cache() -> None:
+    _cache.clear()
 
 
 def build_key_matrix(stream, width: int, height: int) -> KeyMatrix:

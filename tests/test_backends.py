@@ -90,6 +90,37 @@ def test_normalize_accepts_read_only_input():
     assert np.array_equal(out_a, out_b)
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    x0s=st.lists(st.floats(min_value=-1.2, max_value=1.2), min_size=0, max_size=19),
+    r=st.sampled_from([2.0, 3.6, 3.61, 4.0001, 4.2]),
+    scheme=st.integers(min_value=1, max_value=4),
+    damping=st.sampled_from([1.0, 0.89]),
+    block=st.integers(min_value=0, max_value=300),
+)
+def test_keystream_parity(x0s, r, scheme, damping, block):
+    # more lanes than one group of the C kernel, so groups and tails both run
+    seeds = np.asarray(x0s, dtype=np.float64)
+    out_a = np.zeros(len(seeds) * block, dtype=np.uint8)
+    out_b = np.zeros(len(seeds) * block, dtype=np.uint8)
+    fault_a = _purepy.keystream(seeds, r, scheme, damping, block, out_a)
+    fault_b = core.keystream(seeds, r, scheme, damping, block, out_b)
+    assert repr(fault_a) == repr(fault_b)
+    clean = len(seeds) if fault_a is None else fault_a[0]
+    assert np.array_equal(out_a[: clean * block], out_b[: clean * block])
+
+
+def test_keystream_matches_orbit_then_normalize():
+    seeds = np.array([i / 71 for i in range(1, 71)])
+    out = np.empty(70 * 1024, dtype=np.uint8)
+    assert core.keystream(seeds, 3.61, 2, 0.89, 1024, out) is None
+    for lane, x0 in enumerate(seeds):
+        samples, escape = core.run_orbit(x0, 3.61, 2, 0.89, 1024)
+        block = np.empty(1024, dtype=np.uint8)
+        assert escape == -1 and core.normalize_block(samples[1:], block) == -1
+        assert np.array_equal(out[lane * 1024 : (lane + 1) * 1024], block)
+
+
 def test_pure_override_env(tmp_path):
     # a fresh interpreter with CUBICRYPT_PURE=1 must pick the python kernels
     import os

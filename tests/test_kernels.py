@@ -1,7 +1,10 @@
 """Every importable kernel backend rejects invalid input the same way.
 
 Each case pins one outcome: the exception type, raised before any byte
-of ``out`` is written, or the stop index and the bytes of ``out``.
+of ``out`` is written, or the return value and the bytes of ``out``.
+Arguments convert as the C kernel's argument parser converts them, so a
+str where a number belongs, a float where an integer belongs and an
+integer beyond Py_ssize_t fail with the same types on every backend.
 """
 
 import numpy as np
@@ -10,6 +13,7 @@ import pytest
 from cubicrypt._backend import available_backends
 
 S = 0xA5  # sentinel: a byte still equal to it was never written
+TWO = np.array([0.1, 0.1])  # two lanes
 
 
 def _read_only(a):
@@ -23,6 +27,9 @@ CASES = {
     "scheme-5": (lambda k, out: k.run_orbit(0.1, 3.6, 5, 1.0, 8), ValueError),
     "n-minus-1": (lambda k, out: k.run_orbit(0.1, 3.6, 1, 1.0, -1), ValueError),
     "n-minus-2": (lambda k, out: k.run_orbit(0.1, 3.6, 1, 1.0, -2), ValueError),
+    "str-x0": (lambda k, out: k.run_orbit("0.1", 3.6, 1, 1.0, 8), TypeError),
+    "float-scheme": (lambda k, out: k.run_orbit(0.1, 3.6, 1.0, 1.0, 8), TypeError),
+    "n-2**64": (lambda k, out: k.run_orbit(0.1, 3.6, 1, 1.0, 2**64), OverflowError),
     "short-out": (lambda k, out: k.normalize_block(np.full(5, 0.25), out), ValueError),
     "float32-samples": (
         lambda k, out: k.normalize_block(np.full(4, 0.25, dtype=np.float32), out),
@@ -34,6 +41,38 @@ CASES = {
         lambda k, out: k.normalize_block(np.array([0.001, np.nan, 0.25, 0.5]), out),
         (1, bytes([127, S, S, S])),
     ),
+    # keystream(x0s, r, scheme, damping, block, out): the same checks
+    "ks-scheme-0": (lambda k, out: k.keystream(TWO, 3.6, 0, 1.0, 2, out), ValueError),
+    "ks-scheme-5": (lambda k, out: k.keystream(TWO, 3.6, 5, 1.0, 2, out), ValueError),
+    "ks-block-minus-1": (lambda k, out: k.keystream(TWO, 3.6, 1, 1.0, -1, out), ValueError),
+    "ks-str-r": (lambda k, out: k.keystream(TWO, "3.6", 1, 1.0, 2, out), TypeError),
+    "ks-float-scheme": (lambda k, out: k.keystream(TWO, 3.6, 1.0, 1.0, 2, out), TypeError),
+    "ks-block-2**64": (lambda k, out: k.keystream(TWO, 3.6, 1, 1.0, 2**64, out), OverflowError),
+    "ks-short-out": (lambda k, out: k.keystream(TWO, 3.6, 1, 1.0, 3, out), ValueError),
+    "ks-lanes-times-block-overflows": (
+        lambda k, out: k.keystream(np.full(4, 0.1), 3.6, 1, 1.0, 2**62, out),
+        ValueError,
+    ),
+    "ks-float32-x0s": (
+        lambda k, out: k.keystream(TWO.astype(np.float32), 3.6, 1, 1.0, 2, out),
+        TypeError,
+    ),
+    "ks-strided-x0s": (lambda k, out: k.keystream(np.full(4, 0.1)[::2], 3.6, 1, 1.0, 2, out), ValueError),
+    "ks-read-only-out": (lambda k, out: k.keystream(TWO, 3.6, 1, 1.0, 2, _read_only(out)), ValueError),
+    # faults: lane 0 (x0 0.1) is clean; lane 1's bytes stay unwritten
+    "ks-escape-lane-1": (
+        lambda k, out: k.keystream(np.array([0.1, 1.2]), 3.6, 1, 1.0, 2, out),
+        ((1, True, 1, 3.1007999999999996), bytes([204, 249, S, S])),
+    ),
+    "ks-escape-beats-bad-sample": (
+        lambda k, out: k.keystream(np.array([0.1, -1.05]), 3.6, 1, 1.0, 2, out),
+        ((1, True, 2, -6.955166523187053), bytes([204, 249, S, S])),
+    ),
+    "ks-bad-sample-lane-1": (
+        lambda k, out: k.keystream(np.array([0.1, -1.05]), 3.6, 1, 1.0, 1, out),
+        ((1, False, 0, -1.4374500000000001), bytes([204, S, S, S])),
+    ),
+    "ks-clean": (lambda k, out: k.keystream(TWO, 3.6, 1, 1.0, 2, out), (None, bytes([204, 249] * 2))),
 }
 
 
@@ -48,6 +87,6 @@ def test_invalid_input_parity(case, backend):
             call(kernels, out)
         expected = bytes([S] * 4)
     else:
-        stop, expected = expected
-        assert call(kernels, out) == stop
+        result, expected = expected
+        assert call(kernels, out) == result
     assert out.tobytes() == expected

@@ -1,11 +1,13 @@
 import hashlib
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cubicrypt import _backend
+from cubicrypt import _backend, keygen
 from cubicrypt.exchange import PROFILES
 from cubicrypt.keygen import (
     KEY_BYTE_MAX,
@@ -20,7 +22,7 @@ from cubicrypt.keygen import (
     key_matrix_for,
     normalize_sample,
 )
-from cubicrypt.maps import EvaluationScheme, MapConfig, iterate_orbit
+from cubicrypt.maps import EvaluationScheme, MapConfig, OrbitDivergenceError, iterate_orbit
 
 
 # ---------------------------------------------------------------- normalize
@@ -192,15 +194,216 @@ PROFILE_KEYSTREAM_SHA256 = {
 }
 
 
+def _sha256(stream) -> str:
+    return hashlib.sha256(stream.tobytes()).hexdigest()
+
+
+def _each_backend(monkeypatch):
+    """Yield each importable backend's name with it patched in and the cache empty."""
+    for backend, kernels in sorted(_backend.available_backends().items()):
+        monkeypatch.setattr(_backend, "keystream", kernels.keystream)
+        keygen._clear_cache()
+        yield backend
+    keygen._clear_cache()
+
+
 @pytest.mark.parametrize("name", sorted(PROFILE_KEYSTREAM_SHA256))
 def test_profile_keystream_golden_digest(name, monkeypatch):
     config = PROFILES[name].keystream
-    for backend, kernels in sorted(_backend.available_backends().items()):
-        monkeypatch.setattr(_backend, "run_orbit", kernels.run_orbit)
-        monkeypatch.setattr(_backend, "normalize_block", kernels.normalize_block)
-        stream = generate_keystream(config, config.available_samples)
-        digest = hashlib.sha256(stream.tobytes()).hexdigest()
-        assert digest == PROFILE_KEYSTREAM_SHA256[name], f"backend {backend}"
+    full = config.available_samples
+    for backend in _each_backend(monkeypatch):
+        miss = generate_keystream(config, full)
+        hit = generate_keystream(config, full)
+        prefix = generate_keystream(config, 256 * 256)
+        assert _sha256(miss) == _sha256(hit) == PROFILE_KEYSTREAM_SHA256[name], backend
+        assert prefix.tobytes() == miss[: 256 * 256].tobytes(), backend
+
+
+# ---------------------------------------------------------------- keystream errors
+
+R4_SINGLE = KeystreamConfig.single_orbit(r=4.0001, x0=0.3, iterations=5000)
+R4_MULTI = dict(r=4.0001, damping=None, seed_count=3)
+R4_MULTI_200 = KeystreamConfig.multi_seed(iterations_per_seed=200, **R4_MULTI)
+
+# (config, count, warm-up count or None, expected): expected is the first 16
+# hex digits of the bytes' SHA-256, or the exact exception type and message.
+# r = 4.0001 leaves [-1, 1] before it escapes [-1.5, 1.5], which pins which
+# fault wins. The warm-up request caches a shorter prefix first, so the
+# request under test runs on a partly warm cache.
+KEYSTREAM_OUTCOMES = {
+    "single-ok-983": (R4_SINGLE, 983, 500, "c4402c5f29dd353d"),
+    "single-bad-sample-984": (
+        R4_SINGLE, 984, 983,
+        (ValueError, "orbit sample at index 983 (np.float64(-1.0000256164193364)) outside [-1, 1]"),
+    ),
+    "single-escape-beats-bad-sample-989": (
+        R4_SINGLE, 989, 983,
+        (OrbitDivergenceError, "orbit escaped [-1.5, 1.5] at iteration 989 (value -2.934811774830979)"),
+    ),
+    "single-escape-9": (
+        KeystreamConfig.single_orbit(r=4.2, x0=0.1, iterations=100), 10, 7,
+        (OrbitDivergenceError, "orbit escaped [-1.5, 1.5] at iteration 9 (value 1.7773743727677211)"),
+    ),
+    "multi-escape-past-requested-bytes": (
+        KeystreamConfig.multi_seed(iterations_per_seed=1000, **R4_MULTI), 5, None,
+        (OrbitDivergenceError, "orbit escaped [-1.5, 1.5] at iteration 772 (value -3.8596699854784715)"),
+    ),
+    "multi-ok-first-seed": (R4_MULTI_200, 5, 3, "339f9a2b7e67d050"),
+    "multi-escape-second-seed": (
+        R4_MULTI_200, 205, 5,
+        (OrbitDivergenceError, "orbit escaped [-1.5, 1.5] at iteration 6 (value -4.162638398084285)"),
+    ),
+    "single-r": (
+        KeystreamConfig.single_orbit(r=-1), 5, None,
+        (ValueError, "bifurcation parameter must be finite and > 0, got -1"),
+    ),
+    "single-x0": (
+        KeystreamConfig.single_orbit(x0=1.5), 5, None,
+        (ValueError, "initial condition must lie in [-1, 1], got 1.5"),
+    ),
+    "single-x0-count-0": (
+        KeystreamConfig.single_orbit(x0=1.5), 0, None,
+        (ValueError, "initial condition must lie in [-1, 1], got 1.5"),
+    ),
+    "single-damping": (
+        KeystreamConfig.single_orbit(damping=0.0), 5, None,
+        (ValueError, "damping must lie in (0, 1], got 0.0"),
+    ),
+    "multi-r": (
+        KeystreamConfig.multi_seed(r=-1), 5, None,
+        (ValueError, "bifurcation parameter must be finite and > 0, got -1"),
+    ),
+    "multi-r-count-0": (KeystreamConfig.multi_seed(r=-1), 0, None, "e3b0c44298fc1c14"),
+    "multi-damping": (
+        KeystreamConfig.multi_seed(damping=0.0), 5, None,
+        (ValueError, "damping must lie in (0, 1], got 0.0"),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(KEYSTREAM_OUTCOMES))
+def test_keystream_outcome_on_miss_and_hit(case, monkeypatch):
+    config, count, warm, expected = KEYSTREAM_OUTCOMES[case]
+    for backend in _each_backend(monkeypatch):
+        if warm is not None:
+            generate_keystream(config, warm)
+        for _ in range(2):  # the second call finds the first one's result or nothing
+            if isinstance(expected, str):
+                assert _sha256(generate_keystream(config, count))[:16] == expected, backend
+            else:
+                with pytest.raises(expected[0]) as info:
+                    generate_keystream(config, count)
+                assert type(info.value) is expected[0], backend
+                assert str(info.value) == expected[1], backend
+
+
+# ---------------------------------------------------------------- key cache
+
+
+@pytest.fixture()
+def empty_cache():
+    keygen._clear_cache()
+    yield keygen._cache
+    keygen._clear_cache()
+
+
+def test_cache_returns_private_copies(empty_cache):
+    config = KeystreamConfig.single_orbit()
+    miss = generate_keystream(config, 4096)
+    expected = miss.copy()
+    miss[:] = 0
+    hit = generate_keystream(config, 4096)
+    assert np.array_equal(hit, expected)
+    hit[:] = 0
+    assert np.array_equal(generate_keystream(config, 100), expected[:100])
+    assert hit.flags.writeable and miss.flags.writeable
+
+
+def test_cache_keeps_only_what_was_computed(empty_cache):
+    config = KeystreamConfig.multi_seed(seed_count=3, iterations_per_seed=8)
+    generate_keystream(config, 5)
+    assert [len(s) for s in empty_cache._streams.values()] == [8]  # one whole seed block
+    generate_keystream(config, 20)
+    assert [len(s) for s in empty_cache._streams.values()] == [24]
+    generate_keystream(config, 5)
+    assert [len(s) for s in empty_cache._streams.values()] == [24]
+
+
+def test_cache_never_stores_a_failure(empty_cache):
+    config = KeystreamConfig.single_orbit(r=4.2, x0=0.1, iterations=100)
+    for _ in range(3):
+        with pytest.raises(OrbitDivergenceError):
+            generate_keystream(config, 10)
+    assert empty_cache.nbytes == 0
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        (KeystreamConfig.single_orbit(x0=0.0), KeystreamConfig.single_orbit(x0=-0.0)),
+        (KeystreamConfig.single_orbit(r=4), KeystreamConfig.single_orbit(r=4.0)),
+        (KeystreamConfig.multi_seed(r=3), KeystreamConfig.multi_seed(r=3.0)),
+    ],
+)
+def test_equal_configs_give_equal_bytes(a, b, empty_cache):
+    assert a == b
+    cold = generate_keystream(b, 3000)
+    keygen._clear_cache()
+    assert np.array_equal(generate_keystream(a, 3000), cold)
+    assert np.array_equal(generate_keystream(b, 3000), cold)  # served from a's entry
+
+
+def test_cache_byte_budget_holds(empty_cache):
+    for i in range(100):
+        generate_keystream(KeystreamConfig.single_orbit(x0=i / 1000), 30_000)
+        assert empty_cache.nbytes <= keygen.CACHE_BYTES
+    stored = list(empty_cache._streams.values())
+    assert empty_cache.nbytes == sum(s.nbytes + empty_cache.ENTRY_OVERHEAD for s in stored)
+    assert 0 < len(stored) < 100
+    assert all(not s.flags.writeable for s in stored)
+
+
+def test_cache_skips_streams_over_budget(empty_cache):
+    big = KeystreamConfig.single_orbit(iterations=keygen.CACHE_BYTES + 1)
+    stream = generate_keystream(big, keygen.CACHE_BYTES)
+    assert len(stream) == keygen.CACHE_BYTES and stream.flags.writeable
+    assert empty_cache.nbytes == 0
+
+
+def test_cache_is_consistent_under_concurrent_callers(empty_cache):
+    configs = [KeystreamConfig.single_orbit(x0=i / 64) for i in range(24)]
+    expected = {}
+    for config in configs:
+        expected[config] = generate_keystream(config, 40_000)
+    keygen._clear_cache()
+    errors = []
+
+    def worker(seed):
+        rng = np.random.default_rng(seed)
+        try:
+            for _ in range(60):
+                config = configs[rng.integers(len(configs))]
+                count = int(rng.integers(0, 40_001))
+                if not np.array_equal(generate_keystream(config, count), expected[config][:count]):
+                    errors.append((config, count))
+        except Exception as exc:  # reported below; a thread cannot fail the test itself
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    stored = list(empty_cache._streams.values())
+    assert empty_cache.nbytes == sum(s.nbytes + empty_cache.ENTRY_OVERHEAD for s in stored)
+    assert empty_cache.nbytes <= keygen.CACHE_BYTES
 
 
 # ---------------------------------------------------------------- key matrix
