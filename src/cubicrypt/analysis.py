@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from cubicrypt.maps import MapConfig, PseudoOrbit
+from cubicrypt.maps import PseudoOrbit
 
 # Once delta reaches this level the log-curve flattens out and would bias
 # the regression, so the default fit window stops just before it.
@@ -23,7 +23,6 @@ class LbeSeries:
     """Per-iteration absolute difference between two pseudo-orbits."""
 
     delta: np.ndarray = field(repr=False)
-    configs: tuple[MapConfig | None, MapConfig | None] = (None, None)
 
     def __post_init__(self):
         delta = np.asarray(self.delta, dtype=np.float64)
@@ -70,21 +69,17 @@ def lower_bound_error(a, b) -> LbeSeries:
     sa, sb = _samples_of(a), _samples_of(b)
     if len(sa) != len(sb):
         raise ValueError(f"orbit lengths differ: {len(sa)} vs {len(sb)}")
-    configs = (
-        a.config if isinstance(a, PseudoOrbit) else None,
-        b.config if isinstance(b, PseudoOrbit) else None,
-    )
-    return LbeSeries(delta=np.abs(sa - sb), configs=configs)
+    return LbeSeries(delta=np.abs(sa - sb))
 
 
 def linear_regression(points) -> tuple[float, float, float]:
     """Ordinary least squares fit of y on x.
 
-    ``points`` is a sequence of (x, y) pairs. Returns (slope, intercept,
-    r_squared); r_squared is 1.0 for an exact fit, including the
-    degenerate all-y-equal case where the residuals vanish.
+    ``points`` is an N x 2 array or a sequence of (x, y) pairs. Returns
+    (slope, intercept, r_squared); r_squared is 1.0 for an exact fit,
+    including the degenerate all-y-equal case where the residuals vanish.
     """
-    pts = np.asarray(list(points), dtype=np.float64)
+    pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 2:
         raise ValueError("need at least 2 (x, y) points")
     x, y = pts[:, 0], pts[:, 1]
@@ -108,15 +103,14 @@ def linear_regression(points) -> tuple[float, float, float]:
 def lyapunov_from_lbe(
     series: LbeSeries,
     fit_range: tuple[int, int] | None = None,
-    saturation: float = SATURATION_LEVEL,
 ) -> LyapunovEstimate:
     """Estimate the largest Lyapunov exponent from an LBE series.
 
     The default window runs from the first nonzero delta up to (but not
-    including) the first delta >= ``saturation``; pass ``fit_range`` as a
-    half-open (start, end) index pair to override it. Zero deltas inside
-    the window are skipped; if they are more than half of the window the
-    fit is refused.
+    including) the first delta >= ``SATURATION_LEVEL``; pass
+    ``fit_range`` as a half-open (start, end) index pair to override it.
+    Zero deltas inside the window are skipped; if they are more than half
+    of the window the fit is refused.
     """
     delta = series.delta
     if fit_range is None:
@@ -124,7 +118,7 @@ def lyapunov_from_lbe(
         if len(nonzero) == 0:
             raise ValueError("no divergence to fit: the series is identically zero")
         start = int(nonzero[0])
-        saturated = np.nonzero(delta[start:] >= saturation)[0]
+        saturated = np.nonzero(delta[start:] >= SATURATION_LEVEL)[0]
         end = start + int(saturated[0]) if len(saturated) else len(delta)
     else:
         start, end = fit_range

@@ -13,7 +13,9 @@ Exit codes: 0 success, 1 runtime failure (I/O, parse, divergence),
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -27,12 +29,6 @@ from cubicrypt.metrics import histogram, shannon_entropy
 from cubicrypt.pgmio import read_pgm, write_pgm, write_series_csv
 from cubicrypt.testimage import synthetic_test_image
 
-_KEY_FLAGS = ("x0", "r", "scheme", "damping", "iters", "seeds", "iters_per_seed")
-_KEY_DESTS = ("profile",) + _KEY_FLAGS
-_INPUT_FLAGS = ("in", "expected")
-# Not parameters: --out is the manifest's output, --report only changes stdout.
-_UNRECORDED_FLAGS = ("out", "report")
-
 
 def _scheme_arg(text: str) -> EvaluationScheme:
     try:
@@ -41,73 +37,85 @@ def _scheme_arg(text: str) -> EvaluationScheme:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+class _KeyFlag(NamedTuple):
+    dest: str
+    field: str  # the KeystreamConfig field it sets
+    type: Callable
+    mode: str | None  # the keystream mode it belongs to; None for both
+    help: str
+
+
+# Declaration order is the manifest argv order.
+_KEY_FLAGS = (
+    _KeyFlag("x0", "x0", float, "single", "initial condition (single-orbit mode)"),
+    _KeyFlag("r", "r", float, None, "bifurcation parameter"),
+    _KeyFlag("scheme", "scheme", _scheme_arg, None, "evaluation scheme e1..e4"),
+    _KeyFlag("damping", "damping", float, None, "per-step damping factor in (0,1]"),
+    _KeyFlag("iters", "iterations", int, "single", "orbit length (single-orbit mode)"),
+    _KeyFlag("seeds", "seed_count", int, "multiseed", "seed count (switches to multi-seed mode)"),
+    _KeyFlag("iters_per_seed", "iterations_per_seed", int, "multiseed",
+             "iterations per seed (multi-seed mode)"),
+)
+_KEY_DESTS = ("profile",) + tuple(flag.dest for flag in _KEY_FLAGS)
+_INPUT_FLAGS = ("in", "expected")
+# Not parameters: --out is the manifest's output, --report only changes stdout.
+_UNRECORDED_FLAGS = ("out", "report")
+
+
+def _option(dest: str) -> str:
+    return "--" + dest.replace("_", "-")
+
+
 def _add_key_flags(sub: argparse.ArgumentParser) -> None:
     grp = sub.add_argument_group("key parameters (or --profile)")
     grp.add_argument("--profile", choices=sorted(PROFILES), help="named device preset")
-    grp.add_argument("--x0", type=float, help="initial condition (single-orbit mode)")
-    grp.add_argument("--r", type=float, help="bifurcation parameter")
-    grp.add_argument("--scheme", type=_scheme_arg, help="evaluation scheme e1..e4")
-    grp.add_argument("--damping", type=float, help="per-step damping factor in (0,1]")
-    grp.add_argument("--iters", type=int, help="orbit length (single-orbit mode)")
-    grp.add_argument("--seeds", type=int, help="seed count (switches to multi-seed mode)")
-    grp.add_argument("--iters-per-seed", type=int, help="iterations per seed (multi-seed mode)")
+    for flag in _KEY_FLAGS:
+        grp.add_argument(_option(flag.dest), type=flag.type, help=flag.help)
+
+
+def _add_map_flags(sub: argparse.ArgumentParser, *schemes: tuple[str, EvaluationScheme]) -> None:
+    """--x0, --r, one flag per (name, default) in ``schemes``, --damping
+    and --iters, with MapConfig's defaults; see ``_map_config``.
+    """
+    sub.add_argument("--x0", type=float, default=MapConfig.x0)
+    sub.add_argument("--r", type=float, default=MapConfig.r)
+    for name, default in schemes:
+        sub.add_argument(name, type=_scheme_arg, default=default)
+    sub.add_argument("--damping", type=float, default=MapConfig.damping)
+    sub.add_argument("--iters", type=int, default=100)
+
+
+def _map_config(args: argparse.Namespace, scheme: EvaluationScheme) -> MapConfig:
+    return MapConfig(x0=args.x0, r=args.r, scheme=scheme, damping=args.damping)
 
 
 def _resolve_keystream(args: argparse.Namespace, parser: argparse.ArgumentParser) -> KeystreamConfig:
     """Resolve the key flags (or ``--profile``) into a config and store it
-    as ``args.keystream``. Explicit flags are written back with the
-    config's full recipe, so the manifest argv names every default.
+    as ``args.keystream``. Any multi-seed flag selects multi-seed mode.
+    Explicit flags are written back with the config's full recipe, so
+    the manifest argv names every default.
     """
-    given = [f for f in _KEY_FLAGS if getattr(args, f) is not None]
+    given = [flag for flag in _KEY_FLAGS if getattr(args, flag.dest) is not None]
     if args.profile is not None:
         if given:
-            parser.error(
-                "--profile cannot be combined with --" + ", --".join(g.replace("_", "-") for g in given)
-            )
+            parser.error("--profile cannot be combined with " + ", ".join(_option(f.dest) for f in given))
         args.keystream = PROFILES[args.profile].keystream
         return args.keystream
-    kwargs = {}
-    if args.scheme is not None:
-        kwargs["scheme"] = args.scheme
-    if args.r is not None:
-        kwargs["r"] = args.r
-    if args.damping is not None:
-        kwargs["damping"] = args.damping
+    modes = {flag.mode for flag in given}
+    if {"single", "multiseed"} <= modes:
+        single, multi = (
+            [_option(f.dest) for f in _KEY_FLAGS if f.mode == mode] for mode in ("single", "multiseed")
+        )
+        parser.error(f"{'/'.join(single)} are single-orbit flags; multi-seed uses {' and '.join(multi)}")
+    recipe = KeystreamConfig.multi_seed if "multiseed" in modes else KeystreamConfig.single_orbit
     try:
-        if args.seeds is not None or args.iters_per_seed is not None:
-            if args.x0 is not None or args.iters is not None:
-                parser.error("--x0/--iters are single-orbit flags; multi-seed uses --seeds and --iters-per-seed")
-            if args.seeds is not None:
-                kwargs["seed_count"] = args.seeds
-            if args.iters_per_seed is not None:
-                kwargs["iterations_per_seed"] = args.iters_per_seed
-            config = KeystreamConfig.multi_seed(**kwargs)
-        else:
-            if args.x0 is not None:
-                kwargs["x0"] = args.x0
-            if args.iters is not None:
-                kwargs["iterations"] = args.iters
-            config = KeystreamConfig.single_orbit(**kwargs)
+        config = recipe(**{flag.field: getattr(args, flag.dest) for flag in given})
     except ValueError as exc:
         parser.error(str(exc))
-    args.x0, args.r, args.scheme, args.damping = config.x0, config.r, config.scheme, config.damping
-    args.iters, args.seeds = config.iterations, config.seed_count
-    args.iters_per_seed = config.iterations_per_seed
+    for flag in _KEY_FLAGS:
+        setattr(args, flag.dest, getattr(config, flag.field))
     args.keystream = config
     return config
-
-
-def _keystream_params(config: KeystreamConfig) -> dict:
-    return {
-        "mode": config.mode,
-        "scheme": config.scheme.label,
-        "r": config.r,
-        "damping": config.damping,
-        "x0": config.x0,
-        "iterations": config.iterations,
-        "seed_count": config.seed_count,
-        "iterations_per_seed": config.iterations_per_seed,
-    }
 
 
 def _plain(value):
@@ -141,7 +149,7 @@ def _write_manifest(args: argparse.Namespace, **data_params) -> None:
         elif action.dest not in skipped:
             parameters[action.dest] = _plain(value)
     if keystream is not None:
-        parameters |= _keystream_params(keystream)
+        parameters |= {f.name: _plain(getattr(keystream, f.name)) for f in fields(keystream)}
     manifest = {
         "subcommand": " ".join(words),
         "parameters": parameters | data_params,
@@ -175,13 +183,7 @@ def _read_data(path: str, raw: bool) -> np.ndarray:
 
 
 def cmd_simulate(args, parser) -> int:
-    config = MapConfig(
-        x0=args.x0,
-        r=args.r,
-        scheme=args.scheme,
-        damping=args.damping,
-    )
-    orbit = iterate_orbit(config, args.iters)
+    orbit = iterate_orbit(_map_config(args, args.scheme), args.iters)
     Path(args.out).write_bytes(write_series_csv(orbit.samples, name="x"))
     _write_manifest(args)
     print(f"wrote {args.iters + 1} samples to {args.out}")
@@ -189,9 +191,8 @@ def cmd_simulate(args, parser) -> int:
 
 
 def cmd_lbe(args, parser) -> int:
-    base = dict(x0=args.x0, r=args.r, damping=args.damping)
-    orbit_a = iterate_orbit(MapConfig(scheme=args.scheme_a, **base), args.iters)
-    orbit_b = iterate_orbit(MapConfig(scheme=args.scheme_b, **base), args.iters)
+    orbit_a = iterate_orbit(_map_config(args, args.scheme_a), args.iters)
+    orbit_b = iterate_orbit(_map_config(args, args.scheme_b), args.iters)
     series = lower_bound_error(orbit_a, orbit_b)
     Path(args.out).write_bytes(write_series_csv(series.delta, name="delta"))
     _write_manifest(args)
@@ -322,21 +323,12 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="subcommand", required=True)
 
     p = subs.add_parser("simulate", help="iterate the map and write the orbit CSV")
-    p.add_argument("--x0", type=float, default=0.1)
-    p.add_argument("--r", type=float, default=3.6)
-    p.add_argument("--scheme", type=_scheme_arg, default=EvaluationScheme.E1)
-    p.add_argument("--damping", type=float, default=None)
-    p.add_argument("--iters", type=int, default=100)
+    _add_map_flags(p, ("--scheme", EvaluationScheme.E1))
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_simulate, command_parser=p)
 
     p = subs.add_parser("lbe", help="lower bound error between two evaluation schemes")
-    p.add_argument("--x0", type=float, default=0.1)
-    p.add_argument("--r", type=float, default=3.6)
-    p.add_argument("--scheme-a", type=_scheme_arg, default=EvaluationScheme.E1)
-    p.add_argument("--scheme-b", type=_scheme_arg, default=EvaluationScheme.E2)
-    p.add_argument("--damping", type=float, default=None)
-    p.add_argument("--iters", type=int, default=100)
+    _add_map_flags(p, ("--scheme-a", EvaluationScheme.E1), ("--scheme-b", EvaluationScheme.E2))
     p.add_argument("--out", required=True)
     p.add_argument("--report", action="store_true", help="print the Lyapunov fit as JSON")
     p.set_defaults(func=cmd_lbe, command_parser=p)

@@ -36,6 +36,9 @@ MSG_ENCRYPTED_IMAGE = 0x01
 _HEADER = struct.Struct(">4sBIII")
 HEADER_SIZE = _HEADER.size
 MAX_DIMENSION = 65536
+# Seconds a connected peer may stay silent (or a connect may take) before
+# serve_once / send_image give up with TimeoutError.
+SOCKET_TIMEOUT_S = 30.0
 
 
 class ProtocolError(ValueError):
@@ -53,25 +56,17 @@ class DeviceProfile:
         return key_matrix_for(self.keystream, width, height)
 
 
-def _single(scheme: EvaluationScheme) -> KeystreamConfig:
-    return KeystreamConfig.single_orbit(scheme=scheme)
-
-
-def _damped(scheme: EvaluationScheme) -> KeystreamConfig:
-    return KeystreamConfig.multi_seed(scheme=scheme)
-
-
 PROFILES: dict[str, DeviceProfile] = {}
 for _scheme in EvaluationScheme:
-    _n = f"device{int(_scheme)}"
-    PROFILES[_n] = DeviceProfile(name=_n, keystream=_single(_scheme))
-    PROFILES[_n + "-damped"] = DeviceProfile(name=_n + "-damped", keystream=_damped(_scheme))
-del _scheme, _n
+    for _suffix, _recipe in (("", KeystreamConfig.single_orbit), ("-damped", KeystreamConfig.multi_seed)):
+        _n = f"device{int(_scheme)}{_suffix}"
+        PROFILES[_n] = DeviceProfile(name=_n, keystream=_recipe(scheme=_scheme))
+del _scheme, _suffix, _recipe, _n
 
 
-def encode_frame(image: GrayImage, msg_type: int = MSG_ENCRYPTED_IMAGE) -> bytes:
+def encode_frame(image: GrayImage) -> bytes:
     payload = image.tobytes()
-    return _HEADER.pack(MAGIC, msg_type, image.width, image.height, len(payload)) + payload
+    return _HEADER.pack(MAGIC, MSG_ENCRYPTED_IMAGE, image.width, image.height, len(payload)) + payload
 
 
 def _parse_header(header: bytes) -> tuple[int, int, int]:
@@ -220,7 +215,8 @@ def serve_once(
     """Accept one connection, receive one frame, decrypt with the
     profile's key; returns (candidate image, bound port). ``on_bound``
     is called with the bound port before blocking in accept, so a
-    caller serving on port 0 can learn where to connect.
+    caller serving on port 0 can learn where to connect. A peer that
+    stays silent for SOCKET_TIMEOUT_S mid-frame raises TimeoutError.
     """
     with socket.create_server((host, port), backlog=1) as listener:
         bound = listener.getsockname()[1]
@@ -228,6 +224,7 @@ def serve_once(
             on_bound(bound)
         conn, _ = listener.accept()
         with conn:
+            conn.settimeout(SOCKET_TIMEOUT_S)
             encrypted = recv_frame(conn)
     key = profile.key_matrix(encrypted.width, encrypted.height)
     return xor_apply(encrypted, key), bound
@@ -237,5 +234,5 @@ def send_image(host: str, port: int, profile: DeviceProfile, image: GrayImage) -
     """Encrypt with the profile's key and push one frame to host:port."""
     key = profile.key_matrix(image.width, image.height)
     encrypted = xor_apply(image, key)
-    with socket.create_connection((host, port)) as conn:
+    with socket.create_connection((host, port), timeout=SOCKET_TIMEOUT_S) as conn:
         send_frame(conn, encrypted)

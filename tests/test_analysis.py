@@ -82,6 +82,12 @@ def test_regression_constant_series():
     assert r2 == 1.0  # zero residual on zero variance
 
 
+def test_regression_accepts_sequence_of_pairs():
+    points = [(0, 1.0), (1, 3.0), (2, 5.0)]
+    assert linear_regression(points) == linear_regression(np.array(points, dtype=np.float64))
+    assert linear_regression(points) == (2.0, 1.0, 1.0)
+
+
 def test_regression_rejects_degenerate():
     with pytest.raises(ValueError):
         linear_regression(np.array([[1.0, 2.0]]))

@@ -133,6 +133,38 @@ def test_keygen_profile_conflicts_with_flags(tmp_path):
     assert err.value.code == 2
 
 
+_SINGLE_VS_MULTI = "--x0/--iters are single-orbit flags; multi-seed uses --seeds and --iters-per-seed"
+
+
+# Messages recorded before the key flags were declared from one table.
+KEY_FLAG_USAGE_ERRORS = [
+    (["keygen", "--profile", "device1", "--r", "3.7"], "--profile cannot be combined with --r"),
+    (["keygen", "--profile", "device1", "--seeds", "3", "--r", "3.7"],
+     "--profile cannot be combined with --r, --seeds"),
+    (["keygen", "--profile", "device1", "--iters-per-seed", "3", "--x0", "0.2"],
+     "--profile cannot be combined with --x0, --iters-per-seed"),
+    (["encrypt", "--in", "img.pgm", "--profile", "device1", "--seeds", "2"],
+     "--profile cannot be combined with --seeds"),
+    (["keygen", "--seeds", "3", "--x0", "0.2"], _SINGLE_VS_MULTI),
+    (["keygen", "--iters-per-seed", "3", "--iters", "5"], _SINGLE_VS_MULTI),
+    (["keygen", "--seeds", "0"], "seed_count and iterations_per_seed must be >= 1"),
+    (["keygen", "--iters-per-seed", "0"], "seed_count and iterations_per_seed must be >= 1"),
+    (["keygen", "--iters", "-1"], "iterations must be >= 0"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, message", KEY_FLAG_USAGE_ERRORS, ids=[" ".join(argv) for argv, _ in KEY_FLAG_USAGE_ERRORS]
+)
+def test_key_flag_usage_errors(tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as err:
+        run(*argv, "--out", "k")
+    assert err.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == f"cubicrypt: error: {message}"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_keygen_count_too_large(tmp_path, capsys):
     code = run("keygen", "--iters", "10", "--count", "11", "--out", str(tmp_path / "k"))
     assert code == 1
@@ -261,6 +293,29 @@ def test_exchange_serve_send_tcp(tmp_path, image_file, capsys):
     assert _serve_while_sending(serve_argv, addr, "device1", image_file) == 0
     assert out.read_bytes() == image_file.read_bytes()
     assert "match=1.000000" in capsys.readouterr().out
+
+
+def test_exchange_serve_silent_peer_exits_1(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr("cubicrypt.exchange.SOCKET_TIMEOUT_S", 0.2)
+    addr = _free_addr()
+    host, port = addr.split(":")
+    results = {}
+    serve_argv = ["exchange", "serve", "--addr", addr, "--profile", "device1", "--out", str(tmp_path / "r.pgm")]
+    thread = threading.Thread(target=lambda: results.update(code=main(serve_argv)), daemon=True)
+    thread.start()
+    for _ in range(50):
+        try:
+            peer = socket.create_connection((host, int(port)))
+            break
+        except ConnectionRefusedError:
+            time.sleep(0.1)
+    else:
+        pytest.fail("exchange serve never started listening")
+    with peer:
+        thread.join(timeout=5.0)
+    assert results.get("code") == 1
+    assert capsys.readouterr().err == "error: timed out\n"
+    assert not (tmp_path / "r.pgm").exists()
 
 
 @pytest.mark.parametrize("port", ["65536", "99999"])

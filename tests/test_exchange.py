@@ -1,3 +1,4 @@
+import queue
 import socket
 import threading
 
@@ -199,3 +200,45 @@ def test_serve_and_send_sockets(test_image):
     thread.join(timeout=10.0)
     assert not thread.is_alive()
     assert np.array_equal(results["candidate"].pixels, test_image.pixels)
+
+
+def _two_by_two() -> GrayImage:
+    return GrayImage(pixels=np.arange(4, dtype=np.uint8).reshape(2, 2))
+
+
+@pytest.mark.parametrize(
+    "sent",
+    [b"", MAGIC, encode_frame(_two_by_two())[:-1]],
+    ids=["nothing", "part-header", "part-payload"],
+)
+def test_serve_once_times_out_on_silent_peer(monkeypatch, sent):
+    monkeypatch.setattr("cubicrypt.exchange.SOCKET_TIMEOUT_S", 0.2)
+    bound, outcome = queue.Queue(), queue.Queue()
+
+    def server():
+        try:
+            outcome.put(serve_once("127.0.0.1", 0, PROFILES["device1"], on_bound=bound.put))
+        except Exception as exc:
+            outcome.put(exc)
+
+    threading.Thread(target=server, daemon=True).start()
+    with socket.create_connection(("127.0.0.1", bound.get(timeout=5.0))) as peer:
+        peer.sendall(sent)
+        result = outcome.get(timeout=5.0)
+    assert isinstance(result, TimeoutError)
+
+
+def test_send_image_connects_with_timeout(monkeypatch):
+    monkeypatch.setattr("cubicrypt.exchange.SOCKET_TIMEOUT_S", 0.2)
+    timeouts = []
+    create_connection = socket.create_connection
+
+    def recording(*args, **kwargs):
+        conn = create_connection(*args, **kwargs)
+        timeouts.append(conn.gettimeout())
+        return conn
+
+    monkeypatch.setattr(socket, "create_connection", recording)
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        send_image("127.0.0.1", listener.getsockname()[1], PROFILES["device1"], _two_by_two())
+    assert timeouts == [0.2]
