@@ -273,9 +273,9 @@ def cmd_exchange_serve(args, parser) -> int:
     line = f"received {candidate.width}x{candidate.height} -> {args.out} h_norm={report.h_norm:.6f}"
     if args.expected:
         expected = _load_image(args.expected)
-        match = float(np.mean(candidate.pixels == expected.pixels)) if (
-            expected.width == candidate.width and expected.height == candidate.height
-        ) else 0.0
+        match = 0.0
+        if expected.pixels.shape == candidate.pixels.shape:
+            match = np.count_nonzero(candidate.pixels == expected.pixels) / candidate.pixels.size
         line += f" match={match:.6f}"
     _write_manifest(args)
     print(line)

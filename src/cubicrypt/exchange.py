@@ -36,6 +36,9 @@ MSG_ENCRYPTED_IMAGE = 0x01
 _HEADER = struct.Struct(">4sBIII")
 HEADER_SIZE = _HEADER.size
 MAX_DIMENSION = 65536
+# Largest payload a receiver buffers (4096x4096); the largest profile key
+# is 71 680 bytes.
+MAX_PAYLOAD = 1 << 24
 # Seconds a connected peer may stay silent (or a connect may take) before
 # serve_once / send_image give up with TimeoutError.
 SOCKET_TIMEOUT_S = 30.0
@@ -86,6 +89,8 @@ def _parse_header(header: bytes) -> tuple[int, int, int]:
         raise ProtocolError(
             f"length mismatch: payload {payload_len} bytes for {width}x{height} image"
         )
+    if payload_len > MAX_PAYLOAD:
+        raise ProtocolError(f"payload of {payload_len} bytes exceeds the {MAX_PAYLOAD}-byte limit")
     return width, height, payload_len
 
 
@@ -191,8 +196,10 @@ def run_exchange(
         received = decode_frame(encode_frame(encrypted))
     recv_key = receiver.key_matrix(received.width, received.height)
     candidate = xor_apply(received, recv_key)
-    match_fraction = float(np.mean(candidate.pixels == image.pixels))
-    key_mismatch_fraction = float(np.mean(send_key.cells != recv_key.cells))
+    # exact counts over one correctly rounded division: the same floats as
+    # np.mean, without its float64 pass
+    match_fraction = np.count_nonzero(candidate.pixels == image.pixels) / image.pixels.size
+    key_mismatch_fraction = np.count_nonzero(send_key.cells != recv_key.cells) / send_key.cells.size
     entropy = shannon_entropy(histogram(candidate.pixels))
     return ExchangeReport(
         sender=sender.name,

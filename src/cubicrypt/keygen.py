@@ -124,7 +124,10 @@ class KeyMatrix:
     cells: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        cells = np.ascontiguousarray(self.cells, dtype=np.uint8)
+        cells = np.ascontiguousarray(self.cells)
+        if cells.dtype != np.uint8:
+            # no silent coercion: wrapping 300 -> 44 would corrupt the key
+            raise ValueError(f"key cells must be uint8, got {cells.dtype}")
         if cells.ndim != 2:
             raise ValueError(f"key matrix must be 2-D, got shape {cells.shape}")
         if cells.size and int(cells.max()) > KEY_BYTE_MAX:
@@ -202,16 +205,20 @@ def generate_keystream(config: KeystreamConfig, count: int) -> np.ndarray:
 
 
 class _StreamCache:
-    """Least-recently-used keystreams, at most ``budget`` bytes in total.
+    """Least-recently-used keystreams and key matrices, at most ``budget``
+    bytes in total.
 
-    Keystreams are prefix-closed in ``count``, so one entry per config, the
-    longest stream computed so far, serves every shorter request by
-    slicing. An entry holds exactly what was computed and checked (whole
-    seed blocks in multi-seed mode), never more, so a short request keeps
-    succeeding where a longer one would fail. Stored arrays are read-only
-    and callers get copies; failures are never stored. Each entry also
-    counts ``ENTRY_OVERHEAD`` bytes against the budget, so tiny streams
-    cannot pile up without bound.
+    A keystream is stored under its config. Keystreams are prefix-closed in
+    ``count``, so one entry per config, the longest stream computed so far,
+    serves every shorter request by slicing. An entry holds exactly what
+    was computed and checked (whole seed blocks in multi-seed mode), never
+    more, so a short request keeps succeeding where a longer one would
+    fail. A key matrix is stored under ``(config, width, height)``, so a
+    repeat costs one contiguous copy instead of the column-major fill.
+
+    Stored arrays are read-only and callers get copies; failures are never
+    stored. Each entry also counts ``ENTRY_OVERHEAD`` bytes against the
+    budget, so tiny entries cannot pile up without bound.
     """
 
     ENTRY_OVERHEAD = 1024
@@ -219,45 +226,49 @@ class _StreamCache:
     def __init__(self, budget: int):
         self.budget = budget
         self.nbytes = 0
-        self._streams: OrderedDict[KeystreamConfig, np.ndarray] = OrderedDict()
+        self._entries: OrderedDict[object, np.ndarray] = OrderedDict()
         self._lock = threading.Lock()
 
-    def _cost(self, stream: np.ndarray) -> int:
-        return stream.nbytes + self.ENTRY_OVERHEAD
+    def _cost(self, entry: np.ndarray) -> int:
+        return entry.nbytes + self.ENTRY_OVERHEAD
 
-    def get(self, config: KeystreamConfig, count: int) -> np.ndarray | None:
+    def get(self, key, count: int | None = None) -> np.ndarray | None:
+        """Copy of the first ``count`` items stored under ``key`` (all of
+        them if ``count`` is None); None if fewer are stored.
+        """
         with self._lock:
-            stream = self._streams.get(config)
-            if stream is None or len(stream) < count:
+            entry = self._entries.get(key)
+            if entry is None or (count is not None and len(entry) < count):
                 return None
-            self._streams.move_to_end(config)
-        return stream[:count].copy()
+            self._entries.move_to_end(key)
+        return entry[:count].copy()
 
-    def put(self, config: KeystreamConfig, stream: np.ndarray) -> bool:
-        """Keep ``stream``, made read-only; False if it exceeds the budget."""
-        if self._cost(stream) > self.budget:
+    def put(self, key, entry: np.ndarray) -> bool:
+        """Keep ``entry``, made read-only; False if it exceeds the budget."""
+        if self._cost(entry) > self.budget:
             return False
-        stream.flags.writeable = False
+        entry.flags.writeable = False
         with self._lock:
-            old = self._streams.pop(config, None)
+            old = self._entries.pop(key, None)
             if old is not None:
                 self.nbytes -= self._cost(old)
-                if len(old) > len(stream):  # another thread stored more meanwhile
-                    stream = old
-            self._streams[config] = stream
-            self.nbytes += self._cost(stream)
+                if len(old) > len(entry):  # another thread stored more meanwhile
+                    entry = old
+            self._entries[key] = entry
+            self.nbytes += self._cost(entry)
             while self.nbytes > self.budget:
-                _, evicted = self._streams.popitem(last=False)
+                _, evicted = self._entries.popitem(last=False)
                 self.nbytes -= self._cost(evicted)
         return True
 
     def clear(self) -> None:
         with self._lock:
-            self._streams.clear()
+            self._entries.clear()
             self.nbytes = 0
 
 
-# Holds every PROFILES keystream in full (566 720 bytes), so 256x256 keys too.
+# Holds every PROFILES keystream in full (566 720 bytes). The 8 profiles'
+# 256x256 key matrices (524 288 bytes) fit too, and displace idle streams.
 CACHE_BYTES = 1 << 20
 _cache = _StreamCache(CACHE_BYTES)
 
@@ -273,9 +284,12 @@ def build_key_matrix(stream, width: int, height: int) -> KeyMatrix:
     """
     if width < 1 or height < 1:
         raise ValueError(f"matrix dimensions must be positive, got {width}x{height}")
-    flat = np.frombuffer(bytes(stream), dtype=np.uint8) if isinstance(
-        stream, (bytes, bytearray)
-    ) else np.asarray(stream, dtype=np.uint8).ravel()
+    if isinstance(stream, (bytes, bytearray)):
+        flat = np.frombuffer(bytes(stream), dtype=np.uint8)
+    else:
+        flat = np.asarray(stream).ravel()
+        if flat.dtype != np.uint8:
+            raise ValueError(f"key stream must be uint8, got {flat.dtype}")
     needed = width * height
     if len(flat) < needed:
         raise ValueError(f"stream has {len(flat)} bytes; {needed} needed for {width}x{height}")
@@ -283,5 +297,15 @@ def build_key_matrix(stream, width: int, height: int) -> KeyMatrix:
 
 
 def key_matrix_for(config: KeystreamConfig, width: int, height: int) -> KeyMatrix:
-    """Keystream generation and matrix fill in one step."""
-    return build_key_matrix(generate_keystream(config, width * height), width, height)
+    """Keystream generation and matrix fill in one step.
+
+    Finished matrices share the keystream cache and its budget; a hit
+    returns a private copy of the stored cells.
+    """
+    key = (config, width, height)
+    cells = _cache.get(key)
+    if cells is not None:
+        return KeyMatrix(cells=cells)
+    matrix = build_key_matrix(generate_keystream(config, width * height), width, height)
+    _cache.put(key, matrix.cells.copy())
+    return matrix

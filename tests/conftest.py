@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cubicrypt import KERNEL_BACKEND, available_backends
+from cubicrypt import KERNEL_BACKEND, _backend, available_backends, keygen
 from cubicrypt.cipher import GrayImage
 from cubicrypt.testimage import synthetic_test_image
 
@@ -9,6 +9,22 @@ from cubicrypt.testimage import synthetic_test_image
 def pytest_report_header(config):
     # names the kernels under test, so a skipped parity module shows in the log
     return f"cubicrypt kernels: default {KERNEL_BACKEND}, importable {sorted(available_backends())}"
+
+
+@pytest.fixture()
+def each_backend(monkeypatch):
+    """Call to iterate over the importable backends' names, each patched in
+    with the key cache empty; the cache is emptied again at the end.
+    """
+
+    def backends():
+        for backend, kernels in sorted(available_backends().items()):
+            monkeypatch.setattr(_backend, "keystream", kernels.keystream)
+            keygen._clear_cache()
+            yield backend
+        keygen._clear_cache()
+
+    return backends
 
 
 @pytest.fixture(scope="session")

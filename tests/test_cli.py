@@ -295,6 +295,27 @@ def test_exchange_serve_send_tcp(tmp_path, image_file, capsys):
     assert "match=1.000000" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("expected_width", [256, 16])
+def test_exchange_serve_expected_scores_like_mean(tmp_path, image_file, expected_width, capsys):
+    expected_file = image_file
+    if expected_width != 256:
+        expected_file = tmp_path / "small.pgm"
+        assert run("testimage", "--width", "16", "--height", "12", "--out", str(expected_file)) == 0
+    addr = _free_addr()
+    out = tmp_path / "recv.pgm"
+    serve_argv = [
+        "exchange", "serve", "--addr", addr, "--profile", "device2",
+        "--out", str(out), "--expected", str(expected_file),
+    ]
+    capsys.readouterr()
+    assert _serve_while_sending(serve_argv, addr, "device1", image_file) == 0
+    candidate = read_pgm(out.read_bytes()).pixels
+    expected = read_pgm(expected_file.read_bytes()).pixels
+    match = float(np.mean(candidate == expected)) if candidate.shape == expected.shape else 0.0
+    assert 0.0 < match < 0.05 or expected_width != 256
+    assert f" match={match:.6f}\n" in capsys.readouterr().out
+
+
 def test_exchange_serve_silent_peer_exits_1(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr("cubicrypt.exchange.SOCKET_TIMEOUT_S", 0.2)
     addr = _free_addr()

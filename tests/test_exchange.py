@@ -1,3 +1,4 @@
+import itertools
 import queue
 import socket
 import threading
@@ -8,10 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from cubicrypt import keygen
 from cubicrypt.cipher import GrayImage
 from cubicrypt.exchange import (
     HEADER_SIZE,
     MAGIC,
+    MAX_PAYLOAD,
     PROFILES,
     ProtocolError,
     decode_frame,
@@ -21,7 +24,9 @@ from cubicrypt.exchange import (
     send_image,
     serve_once,
 )
+from cubicrypt.keygen import build_key_matrix, generate_keystream
 from cubicrypt.maps import EvaluationScheme
+from cubicrypt.testimage import synthetic_test_image
 
 
 # ---------------------------------------------------------------- profiles
@@ -136,7 +141,70 @@ def test_recv_frame_rejects_header_before_reading_payload(msg_type, payload_len,
         assert reader.recv(16) == b"rest"
 
 
+def _header(width, height, payload_len):
+    return MAGIC + b"\x01" + width.to_bytes(4, "big") + height.to_bytes(4, "big") + (
+        payload_len.to_bytes(4, "big")
+    )
+
+
+def test_payload_cap_rejects_header_before_reading_payload():
+    header = _header(8192, 8192, 8192 * 8192)
+    message = f"payload of {8192 * 8192} bytes exceeds the {MAX_PAYLOAD}-byte limit"
+    reader, writer = socket.socketpair()
+    with reader, writer:
+        reader.settimeout(5.0)
+        writer.sendall(header + b"rest")
+        with pytest.raises(ProtocolError) as received:
+            recv_frame(reader)
+        # not one byte past the header was consumed
+        assert reader.recv(16) == b"rest"
+    with pytest.raises(ProtocolError) as decoded:
+        decode_frame(header + b"rest")
+    assert str(received.value) == str(decoded.value) == message
+
+
+def test_payload_cap_keeps_earlier_messages_and_admits_the_limit():
+    with pytest.raises(ProtocolError, match="length mismatch"):
+        decode_frame(_header(8192, 8192, 5))
+    with pytest.raises(ProtocolError, match="invalid dimensions"):
+        decode_frame(_header(65537, 1, 65537))
+    # exactly MAX_PAYLOAD passes the header check and waits for its payload
+    with pytest.raises(ProtocolError, match=f"incomplete frame: 0 of {MAX_PAYLOAD} payload"):
+        decode_frame(_header(4096, 4096, MAX_PAYLOAD))
+
+
 # ---------------------------------------------------------------- exchange
+
+
+def _mean_scores(sender, receiver, image):
+    """np.mean forms of the two fractions, from keys built without the cache."""
+    w, h = image.width, image.height
+    send, recv = (
+        build_key_matrix(generate_keystream(p.keystream, w * h), w, h).cells
+        for p in (sender, receiver)
+    )
+    candidate = image.pixels ^ send ^ recv
+    return float(np.mean(candidate == image.pixels)), float(np.mean(send != recv))
+
+
+def test_exchange_scores_equal_mean_forms(each_backend):
+    image = synthetic_test_image(64, 48)
+    pairs = list(itertools.product(PROFILES.values(), repeat=2))
+    for backend in each_backend():
+        expected = {}
+        for sender, receiver in pairs:
+            keygen._clear_cache()
+            expected[sender.name, receiver.name] = _mean_scores(sender, receiver, image)
+        assert len(set(expected.values())) > 2, backend  # not only 0s and 1s
+        for state in ("cold", "warm"):
+            for sender, receiver in pairs:
+                if state == "cold":
+                    keygen._clear_cache()
+                report = run_exchange(sender, receiver, image)
+                scores = (report.match_fraction, report.key_mismatch_fraction)
+                assert scores == expected[sender.name, receiver.name], (
+                    backend, state, sender.name, receiver.name
+                )
 
 
 def test_same_profile_exchange_matches(test_image):

@@ -1,6 +1,7 @@
 import hashlib
 import sys
 import threading
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from cubicrypt.keygen import (
     MULTI_SEED_ITERATIONS,
     MULTI_SEED_R,
     SINGLE_ORBIT_ITERATIONS,
+    KeyMatrix,
     KeystreamConfig,
     build_key_matrix,
     generate_keystream,
@@ -198,20 +200,11 @@ def _sha256(stream) -> str:
     return hashlib.sha256(stream.tobytes()).hexdigest()
 
 
-def _each_backend(monkeypatch):
-    """Yield each importable backend's name with it patched in and the cache empty."""
-    for backend, kernels in sorted(_backend.available_backends().items()):
-        monkeypatch.setattr(_backend, "keystream", kernels.keystream)
-        keygen._clear_cache()
-        yield backend
-    keygen._clear_cache()
-
-
 @pytest.mark.parametrize("name", sorted(PROFILE_KEYSTREAM_SHA256))
-def test_profile_keystream_golden_digest(name, monkeypatch):
+def test_profile_keystream_golden_digest(name, each_backend):
     config = PROFILES[name].keystream
     full = config.available_samples
-    for backend in _each_backend(monkeypatch):
+    for backend in each_backend():
         miss = generate_keystream(config, full)
         hit = generate_keystream(config, full)
         prefix = generate_keystream(config, 256 * 256)
@@ -282,9 +275,9 @@ KEYSTREAM_OUTCOMES = {
 
 
 @pytest.mark.parametrize("case", sorted(KEYSTREAM_OUTCOMES))
-def test_keystream_outcome_on_miss_and_hit(case, monkeypatch):
+def test_keystream_outcome_on_miss_and_hit(case, each_backend):
     config, count, warm, expected = KEYSTREAM_OUTCOMES[case]
-    for backend in _each_backend(monkeypatch):
+    for backend in each_backend():
         if warm is not None:
             generate_keystream(config, warm)
         for _ in range(2):  # the second call finds the first one's result or nothing
@@ -322,11 +315,11 @@ def test_cache_returns_private_copies(empty_cache):
 def test_cache_keeps_only_what_was_computed(empty_cache):
     config = KeystreamConfig.multi_seed(seed_count=3, iterations_per_seed=8)
     generate_keystream(config, 5)
-    assert [len(s) for s in empty_cache._streams.values()] == [8]  # one whole seed block
+    assert [len(s) for s in empty_cache._entries.values()] == [8]  # one whole seed block
     generate_keystream(config, 20)
-    assert [len(s) for s in empty_cache._streams.values()] == [24]
+    assert [len(s) for s in empty_cache._entries.values()] == [24]
     generate_keystream(config, 5)
-    assert [len(s) for s in empty_cache._streams.values()] == [24]
+    assert [len(s) for s in empty_cache._entries.values()] == [24]
 
 
 def test_cache_never_stores_a_failure(empty_cache):
@@ -357,7 +350,7 @@ def test_cache_byte_budget_holds(empty_cache):
     for i in range(100):
         generate_keystream(KeystreamConfig.single_orbit(x0=i / 1000), 30_000)
         assert empty_cache.nbytes <= keygen.CACHE_BYTES
-    stored = list(empty_cache._streams.values())
+    stored = list(empty_cache._entries.values())
     assert empty_cache.nbytes == sum(s.nbytes + empty_cache.ENTRY_OVERHEAD for s in stored)
     assert 0 < len(stored) < 100
     assert all(not s.flags.writeable for s in stored)
@@ -376,34 +369,147 @@ def test_cache_is_consistent_under_concurrent_callers(empty_cache):
     for config in configs:
         expected[config] = generate_keystream(config, 40_000)
     keygen._clear_cache()
+
+    def step(rng, errors):
+        config = configs[rng.integers(len(configs))]
+        count = int(rng.integers(0, 40_001))
+        if not np.array_equal(generate_keystream(config, count), expected[config][:count]):
+            errors.append((config, count))
+
+    _run_concurrently(step)
+    _assert_accounting(empty_cache)
+
+
+def _assert_accounting(cache):
+    stored = list(cache._entries.values())
+    assert cache.nbytes == sum(s.nbytes + cache.ENTRY_OVERHEAD for s in stored)
+    assert cache.nbytes <= keygen.CACHE_BYTES
+    assert all(not s.flags.writeable for s in stored)
+
+
+def _run_concurrently(step, threads=6, steps=60):
+    """Run ``step(rng, errors)`` ``steps`` times on each of ``threads``
+    threads with a tiny switch interval; fails on any error recorded.
+    """
     errors = []
 
     def worker(seed):
         rng = np.random.default_rng(seed)
         try:
-            for _ in range(60):
-                config = configs[rng.integers(len(configs))]
-                count = int(rng.integers(0, 40_001))
-                if not np.array_equal(generate_keystream(config, count), expected[config][:count]):
-                    errors.append((config, count))
+            for _ in range(steps):
+                step(rng, errors)
         except Exception as exc:  # reported below; a thread cannot fail the test itself
             errors.append(exc)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(6)]
-        for thread in threads:
+        workers = [threading.Thread(target=worker, args=(seed,)) for seed in range(threads)]
+        for thread in workers:
             thread.start()
-        for thread in threads:
+        for thread in workers:
             thread.join(timeout=60)
     finally:
         sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
+    assert not any(thread.is_alive() for thread in workers)
     assert errors == []
-    stored = list(empty_cache._streams.values())
-    assert empty_cache.nbytes == sum(s.nbytes + empty_cache.ENTRY_OVERHEAD for s in stored)
-    assert empty_cache.nbytes <= keygen.CACHE_BYTES
+
+
+# ---------------------------------------------------------------- key-matrix cache
+
+
+def _filled(config, width, height):
+    """The matrix as built without the cache."""
+    return build_key_matrix(generate_keystream(config, width * height), width, height).cells
+
+
+def test_matrix_cache_returns_private_copies(each_backend):
+    config = PROFILES["device2-damped"].keystream
+    for backend in each_backend():
+        expected = _filled(config, 64, 48)
+        keygen._clear_cache()
+        for state in ("cold", "warm"):
+            matrix = key_matrix_for(config, 64, 48)
+            stored = keygen._cache._entries[(config, 64, 48)]
+            assert not np.shares_memory(matrix.cells, stored), (backend, state)
+            assert np.array_equal(matrix.cells, expected), (backend, state)
+            assert not matrix.cells.flags.writeable
+            matrix.cells.flags.writeable = True
+            matrix.cells[:] = 0
+            assert np.array_equal(key_matrix_for(config, 64, 48).cells, expected), (backend, state)
+
+
+def test_matrix_cache_never_stores_a_failure(each_backend):
+    diverging = KeystreamConfig.single_orbit(r=4.2, x0=0.1, iterations=100)
+    short = KeystreamConfig.single_orbit(iterations=10)
+    for backend in each_backend():
+        for state in ("cold", "warm"):
+            if state == "warm":
+                key_matrix_for(PROFILES["device1"].keystream, 8, 8)
+            before = (keygen._cache.nbytes, list(keygen._cache._entries))
+            for _ in range(2):
+                with pytest.raises(OrbitDivergenceError):
+                    key_matrix_for(diverging, 5, 2)
+                with pytest.raises(ValueError, match="provides only 10"):
+                    key_matrix_for(short, 4, 4)
+            assert (keygen._cache.nbytes, list(keygen._cache._entries)) == before, (backend, state)
+            if state == "cold":
+                assert keygen._cache.nbytes == 0, backend
+
+
+def test_cache_byte_budget_holds_with_matrices(empty_cache):
+    configs = [KeystreamConfig.single_orbit(x0=i / 1000) for i in range(40)]
+    for state in ("cold", "warm"):
+        for config in configs:
+            key_matrix_for(config, 200, 150)
+            generate_keystream(config, 40_000)
+            _assert_accounting(empty_cache)
+        kinds = Counter(type(key) for key in empty_cache._entries)
+        assert kinds[tuple] > 0 and kinds[KeystreamConfig] > 0, state
+        assert len(empty_cache._entries) < 2 * len(configs), state
+    assert np.array_equal(key_matrix_for(configs[-1], 200, 150).cells, _filled(configs[-1], 200, 150))
+
+
+def test_second_pass_over_profiles_skips_keygen_and_fill(each_backend, monkeypatch):
+    calls = Counter()
+
+    def counting(name, function):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(keygen, "build_key_matrix", counting("fill", keygen.build_key_matrix))
+    for backend in each_backend():
+        monkeypatch.setattr(_backend, "keystream", counting("keystream", _backend.keystream))
+        calls.clear()
+        cold = [key_matrix_for(p.keystream, 256, 256).cells for p in PROFILES.values()]
+        assert calls == {"keystream": len(PROFILES), "fill": len(PROFILES)}, backend
+        calls.clear()
+        warm = [key_matrix_for(p.keystream, 256, 256).cells for p in PROFILES.values()]
+        assert calls == {}, backend
+        assert all(np.array_equal(a, b) for a, b in zip(cold, warm)), backend
+        _assert_accounting(keygen._cache)
+
+
+def test_matrix_cache_is_consistent_under_concurrent_callers(empty_cache):
+    configs = [KeystreamConfig.single_orbit(x0=i / 64) for i in range(12)]
+    shapes = [(200, 200), (150, 100), (64, 48)]
+    expected = {(c, w, h): _filled(c, w, h) for c in configs for w, h in shapes}
+    keygen._clear_cache()
+
+    def step(rng, errors):
+        config = configs[rng.integers(len(configs))]
+        width, height = shapes[rng.integers(len(shapes))]
+        if rng.integers(4) == 0:  # streams and matrices share the budget
+            generate_keystream(config, int(rng.integers(0, 40_001)))
+        elif not np.array_equal(key_matrix_for(config, width, height).cells,
+                                expected[config, width, height]):
+            errors.append((config, width, height))
+
+    _run_concurrently(step)
+    _assert_accounting(empty_cache)
 
 
 # ---------------------------------------------------------------- key matrix
@@ -432,6 +538,26 @@ def test_matrix_rejects_short_stream():
 def test_matrix_rejects_values_above_254():
     with pytest.raises(ValueError):
         build_key_matrix(np.array([255, 0, 0, 0], dtype=np.uint8), width=2, height=2)
+
+
+@pytest.mark.parametrize(
+    "cells", [np.array([[300, 1]]), np.array([[44, 1]], dtype=np.int16), np.array([[1.9, 1.0]])]
+)
+def test_key_matrix_rejects_non_uint8_cells(cells):
+    # no silent coercion: 300 would wrap to 44 and 1.9 truncate to 1
+    with pytest.raises(ValueError, match="key cells must be uint8"):
+        KeyMatrix(cells=cells)
+
+
+@pytest.mark.parametrize("stream", [np.array([256, 1, 2, 3]), np.array([1.9, 1.0, 2.0, 3.0])])
+def test_matrix_rejects_non_uint8_stream(stream):
+    with pytest.raises(ValueError, match="key stream must be uint8"):
+        build_key_matrix(stream, width=2, height=2)
+
+
+@pytest.mark.parametrize("stream", [bytes(range(6)), bytearray(range(6))])
+def test_matrix_accepts_bytes(stream):
+    assert build_key_matrix(stream, width=3, height=2).cells.tolist() == [[0, 2, 4], [1, 3, 5]]
 
 
 def test_key_matrix_for_shapes_and_bounds():
