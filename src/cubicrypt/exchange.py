@@ -36,8 +36,10 @@ MSG_ENCRYPTED_IMAGE = 0x01
 _HEADER = struct.Struct(">4sBIII")
 HEADER_SIZE = _HEADER.size
 MAX_DIMENSION = 65536
-# Largest payload a receiver buffers (4096x4096); the largest profile key
-# is 71 680 bytes.
+# Largest payload a receiver buffers (4096x4096). The largest PROFILES key
+# is 71 680 bytes, but serve_once and run_exchange take any DeviceProfile,
+# whose keystream may be far longer, so the cap bounds memory per frame
+# rather than following the built-in profiles.
 MAX_PAYLOAD = 1 << 24
 # Seconds a connected peer may stay silent (or a connect may take) before
 # serve_once / send_image give up with TimeoutError.

@@ -267,9 +267,10 @@ class _StreamCache:
             self.nbytes = 0
 
 
-# Holds every PROFILES keystream in full (566 720 bytes). The 8 profiles'
-# 256x256 key matrices (524 288 bytes) fit too, and displace idle streams.
-CACHE_BYTES = 1 << 20
+# Holds every PROFILES keystream in full (566 720 bytes) next to the 8
+# profiles' 256x256 key matrices (524 288 bytes); together they exceed
+# 1 MiB, and a key_matrix_for hit touches both its stream and its matrix.
+CACHE_BYTES = 1 << 21
 _cache = _StreamCache(CACHE_BYTES)
 
 
@@ -299,13 +300,18 @@ def build_key_matrix(stream, width: int, height: int) -> KeyMatrix:
 def key_matrix_for(config: KeystreamConfig, width: int, height: int) -> KeyMatrix:
     """Keystream generation and matrix fill in one step.
 
-    Finished matrices share the keystream cache and its budget; a hit
-    returns a private copy of the stored cells.
+    The stream always comes from ``generate_keystream``, which checks the
+    request against the config, so every key, cached or not, passes the
+    keystream layer; a warm stream costs one contiguous copy. Finished
+    matrices share the keystream cache and its budget, so a repeat skips
+    only the column-major fill, and a hit returns a private copy of the
+    stored cells.
     """
+    stream = generate_keystream(config, width * height)
     key = (config, width, height)
     cells = _cache.get(key)
     if cells is not None:
         return KeyMatrix(cells=cells)
-    matrix = build_key_matrix(generate_keystream(config, width * height), width, height)
+    matrix = build_key_matrix(stream, width, height)
     _cache.put(key, matrix.cells.copy())
     return matrix

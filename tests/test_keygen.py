@@ -481,22 +481,25 @@ def test_second_pass_over_profiles_skips_keygen_and_fill(each_backend, monkeypat
         return wrapper
 
     monkeypatch.setattr(keygen, "build_key_matrix", counting("fill", keygen.build_key_matrix))
+    monkeypatch.setattr(keygen, "generate_keystream", counting("stream", keygen.generate_keystream))
     for backend in each_backend():
         monkeypatch.setattr(_backend, "keystream", counting("keystream", _backend.keystream))
         calls.clear()
         cold = [key_matrix_for(p.keystream, 256, 256).cells for p in PROFILES.values()]
-        assert calls == {"keystream": len(PROFILES), "fill": len(PROFILES)}, backend
+        assert calls == {"stream": len(PROFILES), "keystream": len(PROFILES), "fill": len(PROFILES)}, backend
         calls.clear()
         warm = [key_matrix_for(p.keystream, 256, 256).cells for p in PROFILES.values()]
-        assert calls == {}, backend
+        assert calls == {"stream": len(PROFILES)}, backend  # every key still passes the stream layer
         assert all(np.array_equal(a, b) for a, b in zip(cold, warm)), backend
         _assert_accounting(keygen._cache)
 
 
 def test_matrix_cache_is_consistent_under_concurrent_callers(empty_cache):
-    configs = [KeystreamConfig.single_orbit(x0=i / 64) for i in range(12)]
+    # more entries than the budget holds, so threads read while others evict
+    configs = [KeystreamConfig.single_orbit(x0=i / 64) for i in range(40)]
     shapes = [(200, 200), (150, 100), (64, 48)]
     expected = {(c, w, h): _filled(c, w, h) for c in configs for w, h in shapes}
+    assert sum(m.nbytes for m in expected.values()) > keygen.CACHE_BYTES
     keygen._clear_cache()
 
     def step(rng, errors):
