@@ -198,15 +198,14 @@ def cmd_lbe(args, parser) -> int:
     _write_manifest(args)
     print(f"wrote {len(series)} deltas to {args.out}")
     if args.report:
-        estimate = lyapunov_from_lbe(series)
-        report = {
-            "lambda": estimate.exponent,
-            "intercept": estimate.intercept,
-            "fit_range": list(estimate.fit_range),
-            "r_squared": estimate.r_squared,
-            "n_points": estimate.n_points,
-            "first_n_at_1e-3": series.first_reaching(1e-3),
-        }
+        try:
+            estimate = lyapunov_from_lbe(series)
+            fit = [estimate.exponent, estimate.intercept, list(estimate.fit_range),
+                   estimate.r_squared, estimate.n_points]
+        except ValueError:
+            fit = [None] * 5  # too few positive deltas to fit, e.g. identical orbits
+        report = dict(zip(("lambda", "intercept", "fit_range", "r_squared", "n_points"), fit))
+        report["first_n_at_1e-3"] = series.first_reaching(1e-3)
         print(json.dumps(report, sort_keys=True))
     return 0
 

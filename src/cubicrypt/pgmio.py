@@ -7,6 +7,8 @@ row-major, matching the visual layout (key matrices are filled
 column-major; the two orders never mix).
 """
 
+import re
+
 import numpy as np
 
 from cubicrypt.cipher import GrayImage
@@ -18,32 +20,14 @@ class PgmError(ValueError):
     """Malformed PGM input."""
 
 
-def _tokens(data: bytes, count: int) -> tuple[list[bytes], int]:
-    """First ``count`` whitespace-separated header tokens, skipping
-    # comments; returns the tokens and the offset one byte past the last
-    token's trailing whitespace character.
-    """
-    found: list[bytes] = []
-    i = 0
-    n = len(data)
-    while len(found) < count:
-        while i < n and data[i : i + 1].isspace():
-            i += 1
-        if i < n and data[i] == ord("#"):
-            while i < n and data[i] != ord("\n"):
-                i += 1
-            continue
-        start = i
-        while i < n and not data[i : i + 1].isspace() and data[i] != ord("#"):
-            i += 1
-        if i == start:
-            raise PgmError("truncated header")
-        found.append(data[start:i])
-        if len(found) == count:
-            # exactly one whitespace byte separates the header from a P5 payload
-            if i < n and data[i : i + 1].isspace():
-                i += 1
-    return found, i
+# Whitespace and "#" comments, then one header token and at most one
+# whitespace byte after it (exactly one separates the header from a P5
+# payload). A comment must end at a newline or at the end of the input:
+# a bare "#[^\n]*" lets a failed match backtrack into the comment and
+# return its tail as a token.
+_TOKEN = re.compile(rb"(?:\s|#[^\n]*(?:\n|\Z))*([^\s#]+)\s?")
+# In a P2 body a comment runs to the end of its line, "\r" included.
+_BODY_COMMENT = re.compile(rb"#[^\r\n]*")
 
 
 def read_pgm(data: bytes) -> GrayImage:
@@ -55,13 +39,17 @@ def read_pgm(data: bytes) -> GrayImage:
     if not isinstance(data, (bytes, bytearray)):
         raise TypeError("read_pgm expects bytes")
     data = bytes(data)
-    try:
-        (magic,), offset = _tokens(data, 1)
-    except PgmError:
-        raise PgmError("bad magic number: empty input") from None
-    if magic not in (b"P5", b"P2"):
-        raise PgmError(f"bad magic number {magic!r}: expected P5 or P2")
-    fields, offset = _tokens(data, 4)
+    fields: list[bytes] = []
+    offset = 0
+    while len(fields) < 4:
+        token = _TOKEN.match(data, offset)
+        if token is None:
+            raise PgmError("truncated header" if fields else "bad magic number: empty input")
+        fields.append(token[1])
+        offset = token.end()
+        if fields[0] not in (b"P5", b"P2"):
+            raise PgmError(f"bad magic number {fields[0]!r}: expected P5 or P2")
+    magic = fields[0]
     try:
         width, height, maxval = (int(f) for f in fields[1:])
     except ValueError:
@@ -79,20 +67,17 @@ def read_pgm(data: bytes) -> GrayImage:
             raise PgmError(f"{len(data) - offset - needed} trailing bytes after payload")
         flat = np.frombuffer(payload, dtype=np.uint8)
     else:
-        body = b"\n".join(
-            line.split(b"#", 1)[0] for line in data[offset:].splitlines()
-        )
         try:
-            values = [int(tok) for tok in body.split()]
+            values = list(map(int, _BODY_COMMENT.sub(b"", data[offset:]).split()))
         except ValueError:
             raise PgmError("non-numeric P2 pixel token") from None
         if len(values) < needed:
             raise PgmError(f"truncated payload: {len(values)} of {needed} values")
         if len(values) > needed:
             raise PgmError(f"{len(values) - needed} trailing values after payload")
-        if any(v < 0 or v > MAXVAL for v in values):
+        if min(values) < 0 or max(values) > MAXVAL:
             raise PgmError("P2 pixel value outside [0, 255]")
-        flat = np.asarray(values, dtype=np.uint8)
+        flat = np.array(values, dtype=np.uint8)
     return GrayImage(pixels=flat.reshape((height, width)))
 
 
@@ -103,7 +88,7 @@ def write_pgm(image: GrayImage, binary: bool = True) -> bytes:
     header = f"{'P5' if binary else 'P2'}\n{image.width} {image.height}\n{MAXVAL}\n"
     if binary:
         return header.encode("ascii") + image.tobytes()
-    rows = "\n".join(" ".join(str(int(v)) for v in row) for row in image.pixels)
+    rows = "\n".join(" ".join(map(str, row)) for row in image.pixels.tolist())
     return (header + rows + "\n").encode("ascii")
 
 

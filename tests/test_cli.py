@@ -86,6 +86,20 @@ def test_lbe_report(tmp_path, capsys):
     assert delta[0] == 0.0
 
 
+@pytest.mark.parametrize("flags", [["--scheme-b", "e4"], ["--iters", "2"]], ids=["e1-e4", "iters-2"])
+def test_lbe_report_with_undefined_fit_prints_nulls(tmp_path, capsys, flags):
+    out = tmp_path / "lbe.csv"
+    assert run("lbe", "--out", str(out), "--report", *flags) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    report = json.loads(captured.out.splitlines()[-1])
+    keys = ("lambda", "intercept", "fit_range", "r_squared", "n_points", "first_n_at_1e-3")
+    assert report == dict.fromkeys(keys)
+    # the manifest's own argv replays to the same success
+    assert main(replay_argv(str(out) + ".manifest.json")) == 0
+    assert json.loads(capsys.readouterr().out.splitlines()[-1]) == report
+
+
 def test_lbe_identical_schemes(tmp_path):
     out = tmp_path / "lbe.csv"
     assert run("lbe", "--scheme-a", "e2", "--scheme-b", "e2", "--iters", "50", "--out", str(out)) == 0

@@ -17,6 +17,7 @@ from cubicrypt.exchange import (
     MAX_PAYLOAD,
     PROFILES,
     ProtocolError,
+    _parse_header,
     decode_frame,
     encode_frame,
     recv_frame,
@@ -141,8 +142,8 @@ def test_recv_frame_rejects_header_before_reading_payload(msg_type, payload_len,
         assert reader.recv(16) == b"rest"
 
 
-def _header(width, height, payload_len):
-    return MAGIC + b"\x01" + width.to_bytes(4, "big") + height.to_bytes(4, "big") + (
+def _header(width, height, payload_len, magic=MAGIC, msg_type=0x01):
+    return magic + bytes([msg_type]) + width.to_bytes(4, "big") + height.to_bytes(4, "big") + (
         payload_len.to_bytes(4, "big")
     )
 
@@ -171,6 +172,74 @@ def test_payload_cap_keeps_earlier_messages_and_admits_the_limit():
     # exactly MAX_PAYLOAD passes the header check and waits for its payload
     with pytest.raises(ProtocolError, match=f"incomplete frame: 0 of {MAX_PAYLOAD} payload"):
         decode_frame(_header(4096, 4096, MAX_PAYLOAD))
+
+
+_small = st.integers(1, 3)
+_any_dimension = st.integers(0, 4) | st.sampled_from([65536, 65537]) | st.integers(0, 2**32 - 1)
+# Well-formed small-image headers, headers with each field possibly off,
+# and streams that end inside the header.
+_frame_header = st.one_of(
+    st.builds(lambda w, h: _header(w, h, w * h), _small, _small),
+    st.builds(
+        lambda w, h, skew, magic, msg_type: _header(w, h, (w * h + skew) % 2**32, magic, msg_type),
+        _any_dimension,
+        _any_dimension,
+        st.integers(-1, 1),
+        st.sampled_from([MAGIC, b"CBX2"]),
+        st.sampled_from([0x01, 0x02]),
+    ),
+    st.binary(max_size=HEADER_SIZE),
+)
+
+
+def _read_to_end(conn):
+    chunks = []
+    while chunk := conn.recv(4096):
+        chunks.append(chunk)
+    return b"".join(chunks)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    header=_frame_header,
+    # at least 9 bytes holds any well-formed small payload whole
+    rest=st.binary(max_size=12) | st.binary(min_size=9, max_size=48),
+)
+def test_recv_frame_agrees_with_decode_frame(header, rest):
+    data = header + rest
+    reader, writer = socket.socketpair()
+    with reader, writer:
+        reader.settimeout(5.0)  # a read past the end of the stream fails instead of hanging
+        writer.sendall(data)
+        writer.shutdown(socket.SHUT_WR)
+        try:
+            received = recv_frame(reader)
+        except ProtocolError as exc:
+            received = exc
+        consumed = len(data) - len(_read_to_end(reader))
+    if len(data) < HEADER_SIZE:
+        assert isinstance(received, ProtocolError)
+        return
+    try:
+        _, _, payload_len = _parse_header(data)
+    except ProtocolError:
+        # a rejected header: the same message, and not one byte past it read
+        with pytest.raises(ProtocolError) as decoded:
+            decode_frame(data)
+        assert isinstance(received, ProtocolError)
+        assert str(received) == str(decoded.value)
+        assert consumed == HEADER_SIZE
+        return
+    if len(rest) >= payload_len:
+        frame = data[: HEADER_SIZE + payload_len]
+        assert isinstance(received, GrayImage)
+        assert np.array_equal(received.pixels, decode_frame(frame).pixels)
+        assert consumed == len(frame)
+    else:
+        # a short payload
+        assert isinstance(received, ProtocolError)
+        with pytest.raises(ProtocolError):
+            decode_frame(data)
 
 
 # ---------------------------------------------------------------- exchange

@@ -98,6 +98,33 @@ def test_p2_non_numeric():
         read_pgm(b"P2\n2 1\n255\n12 zebra")
 
 
+# Outcomes recorded at the byte-by-byte header scanner that the regex
+# tokenizer replaced: a result, or the exact PgmError message.
+@pytest.mark.parametrize(
+    "blob, expected",
+    [
+        pytest.param(b"#0c1\t1_0\x00 ", "bad magic number: empty input", id="comment-to-end"),
+        pytest.param(b"P5 2 1 255 #x", [[35, 120]], id="p5-payload-after-one-separator"),
+        pytest.param(b"P2 1 1 255#c\n7", [[7]], id="comment-after-maxval"),
+        pytest.param(b"P5\x0b2\x0c1\r255\x0b\x01\x02", [[1, 2]], id="p5-vt-ff-cr"),
+        pytest.param(b"P2\x0c2\x0b1\r255\r3\x0b4", [[3, 4]], id="p2-vt-ff-cr"),
+        pytest.param(b"P2 2 1 255 +5 1_0", [[5, 10]], id="sign-and-underscore"),
+        pytest.param(b"P2 1 1 255 " + b"9" * 20, "P2 pixel value outside [0, 255]", id="20-digits"),
+        pytest.param(b"P2 1 1 255 -" + b"9" * 20, "P2 pixel value outside [0, 255]", id="minus-20-digits"),
+        pytest.param(b"P2 1 1 255 \xc2\xb5", "non-numeric P2 pixel token", id="non-ascii"),
+        pytest.param(b"P2 2 1 255\n3 # 99 comment\n4\n", [[3, 4]], id="p2-body-comment"),
+        pytest.param(b"P2 2 1 255\n3 #c\r4", [[3, 4]], id="p2-body-comment-ends-at-cr"),
+    ],
+)
+def test_reader_edge_cases(blob, expected):
+    if isinstance(expected, str):
+        with pytest.raises(PgmError) as err:
+            read_pgm(blob)
+        assert str(err.value) == expected
+    else:
+        assert read_pgm(blob).pixels.tolist() == expected
+
+
 def test_p5_p2_same_image(test_image):
     a = read_pgm(write_pgm(test_image, binary=True))
     b = read_pgm(write_pgm(test_image, binary=False))
