@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 runtime failure (I/O, parse, divergence),
 """
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import fields
@@ -313,7 +314,14 @@ def cmd_testimage(args, parser) -> int:
 # ---------------------------------------------------------------- parser
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on first use.
+
+    Nothing in it depends on the call: ``parse_args`` returns a fresh
+    namespace and leaves the tree as it was, so ``main`` reuses it.
+    Callers must not change it.
+    """
     parser = argparse.ArgumentParser(
         prog="cubicrypt",
         description="Chaos-based XOR image encryption and reproducibility lab",

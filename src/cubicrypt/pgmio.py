@@ -20,14 +20,71 @@ class PgmError(ValueError):
     """Malformed PGM input."""
 
 
-# Whitespace and "#" comments, then one header token and at most one
+# A "#" comment runs to the next CR or LF, in the header and in a P2 body.
+_COMMENT = rb"#[^\r\n]*"
+# Whitespace and comments, then one header token and at most one
 # whitespace byte after it (exactly one separates the header from a P5
-# payload). A comment must end at a newline or at the end of the input:
-# a bare "#[^\n]*" lets a failed match backtrack into the comment and
-# return its tail as a token.
-_TOKEN = re.compile(rb"(?:\s|#[^\n]*(?:\n|\Z))*([^\s#]+)\s?")
-# In a P2 body a comment runs to the end of its line, "\r" included.
-_BODY_COMMENT = re.compile(rb"#[^\r\n]*")
+# payload). A comment must end at a line end or at the end of the input:
+# an unanchored comment lets a failed match backtrack into it and return
+# its tail as a token.
+_TOKEN = re.compile(rb"(?:\s|" + _COMMENT + rb"(?:[\r\n]|\Z))*([^\s#]+)\s?")
+_BODY_COMMENT = re.compile(_COMMENT)
+
+# Byte codes for the NumPy P2 path: an ASCII digit's value, 10 for the
+# six bytes bytes.split() splits on, 11 for any other byte.
+_P2_CODE = np.full(256, 11, dtype=np.uint8)
+_P2_CODE[np.frombuffer(b" \t\n\r\x0b\x0c", dtype=np.uint8)] = 10
+_P2_CODE[np.frombuffer(b"0123456789", dtype=np.uint8)] = np.arange(10)
+
+
+def _p2_digit_values(body: bytes) -> np.ndarray | None:
+    """The tokens of a canonical P2 body as uint16 values, or None.
+
+    Canonical means only ASCII digits and whitespace, with at most 3
+    digits per token; any other body (comments, signs, underscores,
+    other bytes, 4+ digits) gets None and is left to ``int()``.
+    """
+    code = _P2_CODE.take(np.frombuffer(body, dtype=np.uint8))
+    if code.size and code.max() > 10:
+        return None
+    # Whitespace codes, three in front and one behind, keep every index
+    # below in range.
+    padded = np.full(code.size + 4, 10, dtype=np.uint8)
+    padded[3:-1] = code
+    digit = padded < 10
+    if (digit[:-3] & digit[1:-2] & digit[2:-1] & digit[3:]).any():
+        return None
+    last = np.flatnonzero(digit[:-1] & ~digit[1:])  # each token's last digit
+    units, tens, hundreds = (padded[last - k].astype(np.uint16) for k in range(3))
+    has_tens = digit[last - 1]
+    has_hundreds = has_tens & digit[last - 2]
+    # uint16 throughout: 999 fits, and 10 and 100 keep that dtype under
+    # NumPy 1.x value-based casting and NEP 50 alike.
+    return units + 10 * tens * has_tens + 100 * hundreds * has_hundreds
+
+
+def _check_count(count: int, needed: int) -> None:
+    if count < needed:
+        raise PgmError(f"truncated payload: {count} of {needed} values")
+    if count > needed:
+        raise PgmError(f"{count - needed} trailing values after payload")
+
+
+def _p2_pixels(body: bytes, needed: int) -> np.ndarray:
+    values = _p2_digit_values(body)
+    if values is not None:
+        _check_count(len(values), needed)
+        in_range = values.max() <= MAXVAL
+    else:
+        try:
+            values = list(map(int, _BODY_COMMENT.sub(b"", body).split()))
+        except ValueError:
+            raise PgmError("non-numeric P2 pixel token") from None
+        _check_count(len(values), needed)
+        in_range = min(values) >= 0 and max(values) <= MAXVAL
+    if not in_range:
+        raise PgmError("P2 pixel value outside [0, 255]")
+    return np.array(values, dtype=np.uint8)
 
 
 def read_pgm(data: bytes) -> GrayImage:
@@ -67,17 +124,7 @@ def read_pgm(data: bytes) -> GrayImage:
             raise PgmError(f"{len(data) - offset - needed} trailing bytes after payload")
         flat = np.frombuffer(payload, dtype=np.uint8)
     else:
-        try:
-            values = list(map(int, _BODY_COMMENT.sub(b"", data[offset:]).split()))
-        except ValueError:
-            raise PgmError("non-numeric P2 pixel token") from None
-        if len(values) < needed:
-            raise PgmError(f"truncated payload: {len(values)} of {needed} values")
-        if len(values) > needed:
-            raise PgmError(f"{len(values) - needed} trailing values after payload")
-        if min(values) < 0 or max(values) > MAXVAL:
-            raise PgmError("P2 pixel value outside [0, 255]")
-        flat = np.array(values, dtype=np.uint8)
+        flat = _p2_pixels(data[offset:], needed)
     return GrayImage(pixels=flat.reshape((height, width)))
 
 

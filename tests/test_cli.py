@@ -1,3 +1,4 @@
+import argparse
 import json
 import socket
 import threading
@@ -7,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cubicrypt.cli import main, replay_argv
+from cubicrypt.cli import build_parser, main, replay_argv
 from cubicrypt.pgmio import read_pgm, read_series_csv
 
 
@@ -551,3 +552,53 @@ def test_manifest_golden_and_replay_exchange_serve(tmp_path, monkeypatch):
          "--expected", "img.pgm"],
         rerun=serve,
     )
+
+
+# ---------------------------------------------------------------- one parser per process
+
+HELP_COMMANDS = [[], ["simulate"], ["lbe"], ["keygen"], ["encrypt"], ["decrypt"], ["entropy"],
+                 ["histogram"], ["exchange"], ["exchange", "serve"], ["exchange", "send"],
+                 ["exchange", "run"], ["testimage"]]
+
+
+def _help_texts(capsys):
+    capsys.readouterr()
+    texts = []
+    for words in HELP_COMMANDS:
+        with pytest.raises(SystemExit) as err:
+            main([*words, "--help"])
+        assert err.value.code == 0
+        texts.append(capsys.readouterr().out)
+    return texts
+
+
+def test_main_reuses_one_parser(tmp_path, monkeypatch, capsys):
+    """The first main() builds the parser; later calls, usage errors
+    included, reuse it and leave it as it was.
+    """
+    monkeypatch.chdir(tmp_path)
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    build_parser.cache_clear()
+    first_help = _help_texts(capsys)
+    assert built, "the first main() builds the parser"
+    built.clear()
+    for usage_error in (["encrypt", "--in", "img.pgm"],
+                        ["encrypt", "--in", "img.pgm", "--out", "enc.pgm", "--profile", "device1",
+                         "--seeds", "2"]):
+        with pytest.raises(SystemExit) as err:
+            main(usage_error)
+        assert err.value.code == 2
+    assert run("testimage", "--width", "16", "--height", "12", "--out", "img.pgm") == 0
+    argv, subcommand, parameters, inputs, canonical = GOLDEN_MANIFESTS[6]
+    assert subcommand == "encrypt"
+    assert main(argv) == 0
+    _check_manifest("enc.pgm", subcommand, parameters, inputs, canonical)
+    assert _help_texts(capsys) == first_help
+    assert built == []

@@ -1,11 +1,16 @@
+import operator
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from cubicrypt import pgmio
 from cubicrypt.cipher import GrayImage
 from cubicrypt.pgmio import (
+    MAXVAL,
     PgmError,
     read_pgm,
     read_series_csv,
@@ -98,8 +103,12 @@ def test_p2_non_numeric():
         read_pgm(b"P2\n2 1\n255\n12 zebra")
 
 
-# Outcomes recorded at the byte-by-byte header scanner that the regex
-# tokenizer replaced: a result, or the exact PgmError message.
+# A result, or the exact PgmError message. The cases up to the P2 body
+# comments were recorded at the byte-by-byte header scanner that the
+# regex tokenizer replaced. A header comment now also ends at CR (the
+# "header-comment-ends-at-cr" cases used to fail). The rest pin the
+# NumPy P2 path: 3-digit tokens and counts there, 4+ digits on the
+# reference path.
 @pytest.mark.parametrize(
     "blob, expected",
     [
@@ -114,6 +123,18 @@ def test_p2_non_numeric():
         pytest.param(b"P2 1 1 255 \xc2\xb5", "non-numeric P2 pixel token", id="non-ascii"),
         pytest.param(b"P2 2 1 255\n3 # 99 comment\n4\n", [[3, 4]], id="p2-body-comment"),
         pytest.param(b"P2 2 1 255\n3 #c\r4", [[3, 4]], id="p2-body-comment-ends-at-cr"),
+        pytest.param(b"P2 #c\r2 1 255\r3 4", [[3, 4]], id="header-comment-ends-at-cr"),
+        pytest.param(b"P5 #a\rb 1 255\n\x00", "non-numeric header fields [b'b', b'1', b'255']",
+                     id="header-comment-ends-at-cr-p5"),
+        pytest.param(b"P2 1 1 255 007", [[7]], id="leading-zeros"),
+        pytest.param(b"P2 2 1 255 0255 007", [[255, 7]], id="4-digits-leading-zero"),
+        pytest.param(b"P2 2 1 255 1234 5", "P2 pixel value outside [0, 255]", id="4-digits"),
+        pytest.param(b"P2 1 1 255 256", "P2 pixel value outside [0, 255]", id="256"),
+        pytest.param(b"P2 2 1 255 12 999", "P2 pixel value outside [0, 255]", id="999"),
+        pytest.param(b"P2 2 1 255 999", "truncated payload: 1 of 2 values", id="count-before-range"),
+        pytest.param(b"P2\x0b2\x0c1\x0b255\x0c1\x0b\x0c20\x0c", [[1, 20]], id="vt-ff-only"),
+        pytest.param(b"P2 3 2 255\n", "truncated payload: 0 of 6 values", id="empty-body"),
+        pytest.param(b"P2 2 1 255\n1 2 3\n", "1 trailing values after payload", id="one-extra-token"),
     ],
 )
 def test_reader_edge_cases(blob, expected):
@@ -123,6 +144,48 @@ def test_reader_edge_cases(blob, expected):
         assert str(err.value) == expected
     else:
         assert read_pgm(blob).pixels.tolist() == expected
+
+
+_SEPARATORS = st.sampled_from([b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c"])
+
+
+@st.composite
+def p2_files(draw):
+    """A P2 file whose body is mostly digits and whitespace: tokens of 1-5
+    digits with leading zeros, the needed count or one off it, and now and
+    then a "#", "+", "_" or NUL dropped in.
+    """
+    width, height = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    count = max(0, width * height + draw(st.sampled_from([-1, 0, 1])))
+    # 0-2 digits before a value: leading zeros, or a 4- or 5-digit token
+    # that the NumPy path must hand on. Most bodies get none and stay on it.
+    prefix = st.text("0123456789", max_size=draw(st.sampled_from([0, 0, 2])))
+    token = st.one_of(
+        st.builds(operator.add, prefix, st.integers(0, MAXVAL).map(str)),
+        st.text("0123456789", min_size=1, max_size=3),
+    )
+    body = b"".join(draw(st.lists(_SEPARATORS, max_size=2)))
+    for text in draw(st.lists(token, min_size=count, max_size=count)):
+        body += text.encode() + b"".join(draw(st.lists(_SEPARATORS, min_size=1, max_size=2)))
+    if draw(st.integers(0, 4)) == 0:
+        at = draw(st.integers(0, len(body)))
+        body = body[:at] + draw(st.sampled_from([b"#", b"+", b"_", b"\x00"])) + body[at:]
+    return f"P2 {width} {height} 255\n".encode() + body
+
+
+def _outcome(blob):
+    try:
+        return read_pgm(blob).pixels.tolist()
+    except PgmError as exc:
+        return str(exc)
+
+
+@settings(max_examples=500, deadline=None)
+@given(p2_files())
+def test_p2_numpy_path_matches_reference(blob):
+    fast = _outcome(blob)
+    with mock.patch.object(pgmio, "_p2_digit_values", return_value=None):
+        assert _outcome(blob) == fast
 
 
 def test_p5_p2_same_image(test_image):
