@@ -1,5 +1,6 @@
 import argparse
 import json
+import os
 import socket
 import threading
 import time
@@ -8,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cubicrypt import cli
 from cubicrypt.cli import build_parser, main, replay_argv
 from cubicrypt.pgmio import read_pgm, read_series_csv
 
@@ -196,6 +198,26 @@ def test_encrypt_decrypt_round_trip(tmp_path, image_file):
     assert run("decrypt", "--in", str(enc), "--out", str(dec), "--profile", "device3") == 0
     assert dec.read_bytes() == image_file.read_bytes()
     assert enc.read_bytes() != image_file.read_bytes()
+
+
+def test_outputs_replace_longer_files_and_follow_symlinks(tmp_path, image_file):
+    fresh = tmp_path / "fresh.pgm"
+    assert run("encrypt", "--in", str(image_file), "--out", str(fresh), "--profile", "device3") == 0
+    target = tmp_path / "target.pgm"
+    stale = b"#" * (3 * len(fresh.read_bytes()))
+    target.write_bytes(stale)
+    link = tmp_path / "link.pgm"
+    link.symlink_to(target)
+    Path(str(link) + ".manifest.json").write_bytes(stale)
+    assert run("encrypt", "--in", str(image_file), "--out", str(link), "--profile", "device3") == 0
+    assert link.is_symlink()
+    assert target.read_bytes() == fresh.read_bytes()
+    manifest = json.loads(Path(str(link) + ".manifest.json").read_bytes())
+    assert manifest["outputs"] == [str(link)]
+
+
+def test_write_file_to_a_device_skips_the_cut():
+    cli._write_file(os.devnull, b"discarded")
 
 
 def test_encrypt_missing_input(tmp_path, capsys):
