@@ -19,6 +19,7 @@ BACKEND: str = _impl.BACKEND
 run_orbit = _impl.run_orbit
 normalize_block = _impl.normalize_block
 keystream = _impl.keystream
+byte_counts = _impl.byte_counts
 
 
 def available_backends():

@@ -1,4 +1,4 @@
-/* Compiled orbit and keystream kernels.
+/* Compiled orbit, keystream and byte-count kernels.
  *
  * Semantics are bit-identical to _purepy: IEEE 754 binary64,
  * round-to-nearest-even, the exact operation order written below. Build
@@ -7,11 +7,12 @@
  * Every argument is checked before the first write, and errors have the
  * same types as in _purepy, and no double outside an integer type's range
  * (or NaN) is ever converted to one. Only the CPython API and the buffer
- * protocol are used; the orbit array comes from numpy.empty.
+ * protocol are used; the orbit and count arrays come from numpy.empty.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <float.h>
+#include <stdint.h>
 #include <string.h>
 
 #if FLT_EVAL_METHOD != 0
@@ -250,6 +251,36 @@ keystream(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwargs)
     return Py_BuildValue("nNnd", failed, PyBool_FromLong(f->escaped), f->index, f->value);
 }
 
+static PyObject *
+byte_counts(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwargs)
+{
+    static char *kwlist[] = {"data", NULL};
+    PyObject *data_obj;
+    Py_buffer dv, cv;
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "O:byte_counts", kwlist, &data_obj))
+        return NULL;
+    if (get_block(data_obj, &dv, "data", "B", 0) < 0)
+        return NULL;
+    /* numpy names the dtype: int64's buffer format is 'l' or 'q' by platform */
+    PyObject *arr = PyObject_CallFunction(numpy_empty, "ns", (Py_ssize_t)256, "int64");
+    if (arr == NULL || PyObject_GetBuffer(arr, &cv, PyBUF_WRITABLE) < 0) {
+        Py_XDECREF(arr);
+        PyBuffer_Release(&dv);
+        return NULL;
+    }
+    const unsigned char *data = dv.buf;
+    int64_t *counts = cv.buf;
+    Py_ssize_t n = dv.shape[0];
+    Py_BEGIN_ALLOW_THREADS
+    memset(counts, 0, 256 * sizeof *counts);
+    for (Py_ssize_t i = 0; i < n; i++)
+        counts[data[i]]++;
+    Py_END_ALLOW_THREADS
+    PyBuffer_Release(&cv);
+    PyBuffer_Release(&dv);
+    return arr;
+}
+
 static PyMethodDef core_methods[] = {
     {"run_orbit", (PyCFunction)(void (*)(void))run_orbit, METH_VARARGS | METH_KEYWORDS,
      "Mirror of _purepy.run_orbit; see its docstring for the contract."},
@@ -257,13 +288,15 @@ static PyMethodDef core_methods[] = {
      "Mirror of _purepy.normalize_block; see its docstring."},
     {"keystream", (PyCFunction)(void (*)(void))keystream, METH_VARARGS | METH_KEYWORDS,
      "Mirror of _purepy.keystream; see its docstring for the contract."},
+    {"byte_counts", (PyCFunction)(void (*)(void))byte_counts, METH_VARARGS | METH_KEYWORDS,
+     "Mirror of _purepy.byte_counts; see its docstring."},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef core_module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "_core",
-    .m_doc = "Compiled orbit and keystream kernels.",
+    .m_doc = "Compiled orbit, keystream and byte-count kernels.",
     .m_size = -1,
     .m_methods = core_methods,
 };

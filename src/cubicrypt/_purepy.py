@@ -1,4 +1,4 @@
-"""Pure-Python orbit and keystream kernels.
+"""Pure-Python orbit, keystream and byte-count kernels.
 
 Fallback used when the compiled extension is unavailable. Every arithmetic
 operation here is IEEE 754 binary64 with round-to-nearest-even, applied in
@@ -127,6 +127,18 @@ def keystream(x0s, r, scheme, damping, block, out):
         if bad >= 0:
             return lane, False, bad, float(samples[bad + 1])
     return None
+
+
+def byte_counts(data):
+    """How often each byte value 0..255 occurs in ``data``, as an int64
+    array of 256 counts.
+
+    ``data`` must be a 1-D contiguous uint8 buffer (format 'B'), such as
+    bytes or a flat uint8 array: ValueError for the wrong shape, TypeError
+    for the wrong item format.
+    """
+    view = _block(data, "data", "B", writable=False)
+    return np.bincount(np.asarray(view), minlength=256).astype(np.int64, copy=False)
 
 
 _C_INT = 1 << 31  # ranges [-limit, limit) of C int and Py_ssize_t

@@ -47,7 +47,22 @@ SOCKET_TIMEOUT_S = 30.0
 
 
 class ProtocolError(ValueError):
-    """Malformed or inconsistent wire frame."""
+    """Malformed or inconsistent wire frame.
+
+    ``kind`` names the failure, one of ``KINDS``: a bad magic or message
+    type, invalid dimensions, a payload length that does not match them,
+    a payload over ``MAX_PAYLOAD``, a frame that ends early, or bytes
+    after the frame. The message says the same in words.
+    """
+
+    KINDS = ("magic", "type", "dimensions", "length", "too-large", "truncated", "trailing")
+
+    def __init__(self, kind: str, message: str):
+        super().__init__(message)
+        self.kind = kind
+
+    def __reduce__(self):
+        return type(self), (self.kind, str(self))
 
 
 @dataclass(frozen=True)
@@ -82,32 +97,39 @@ def _parse_header(header: bytes) -> tuple[int, int, int]:
     """
     magic, msg_type, width, height, payload_len = _HEADER.unpack_from(header)
     if magic != MAGIC:
-        raise ProtocolError(f"bad magic {magic!r}: expected {MAGIC!r}")
+        raise ProtocolError("magic", f"bad magic {magic!r}: expected {MAGIC!r}")
     if msg_type != MSG_ENCRYPTED_IMAGE:
-        raise ProtocolError(f"unknown message type 0x{msg_type:02x}")
+        raise ProtocolError("type", f"unknown message type 0x{msg_type:02x}")
     if width == 0 or height == 0 or width > MAX_DIMENSION or height > MAX_DIMENSION:
-        raise ProtocolError(f"invalid dimensions {width}x{height}")
+        raise ProtocolError("dimensions", f"invalid dimensions {width}x{height}")
     if payload_len != width * height:
         raise ProtocolError(
-            f"length mismatch: payload {payload_len} bytes for {width}x{height} image"
+            "length", f"length mismatch: payload {payload_len} bytes for {width}x{height} image"
         )
     if payload_len > MAX_PAYLOAD:
-        raise ProtocolError(f"payload of {payload_len} bytes exceeds the {MAX_PAYLOAD}-byte limit")
+        raise ProtocolError(
+            "too-large", f"payload of {payload_len} bytes exceeds the {MAX_PAYLOAD}-byte limit"
+        )
     return width, height, payload_len
 
 
 def decode_frame(frame: bytes) -> GrayImage:
     """Inverse of encode_frame; raises ProtocolError with a distinct
-    message per failure mode.
+    message, and the kind of its failure mode.
     """
     if len(frame) < HEADER_SIZE:
-        raise ProtocolError(f"incomplete frame: {len(frame)} bytes, header needs {HEADER_SIZE}")
+        raise ProtocolError(
+            "truncated", f"incomplete frame: {len(frame)} bytes, header needs {HEADER_SIZE}"
+        )
     width, height, payload_len = _parse_header(frame)
     payload = frame[HEADER_SIZE : HEADER_SIZE + payload_len]
     if len(payload) < payload_len:
-        raise ProtocolError(f"incomplete frame: {len(payload)} of {payload_len} payload bytes")
+        raise ProtocolError(
+            "truncated", f"incomplete frame: {len(payload)} of {payload_len} payload bytes"
+        )
     if len(frame) > HEADER_SIZE + payload_len:
-        raise ProtocolError(f"{len(frame) - HEADER_SIZE - payload_len} trailing bytes after frame")
+        extra = len(frame) - HEADER_SIZE - payload_len
+        raise ProtocolError("trailing", f"{extra} trailing bytes after frame")
     return GrayImage.frombytes(payload, width, height)
 
 
@@ -120,7 +142,9 @@ def _recv_exact(conn: socket.socket, count: int) -> bytes:
     while remaining > 0:
         chunk = conn.recv(min(remaining, 65536))
         if not chunk:
-            raise ProtocolError(f"connection closed with {remaining} bytes outstanding")
+            raise ProtocolError(
+                "truncated", f"connection closed with {remaining} bytes outstanding"
+            )
         chunks.append(chunk)
         remaining -= len(chunk)
     return b"".join(chunks)

@@ -5,6 +5,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from cubicrypt import _backend
+
 ALPHABET = 256
 MAX_BITS = math.log2(ALPHABET)  # 8.0
 
@@ -34,6 +36,8 @@ class EntropyReport:
 
 
 def _as_bytes_array(data) -> np.ndarray:
+    """``data`` as a 1-D C-contiguous uint8 array (``ravel`` copies a
+    non-contiguous view)."""
     if isinstance(data, (bytes, bytearray)):
         return np.frombuffer(bytes(data), dtype=np.uint8)
     arr = np.asarray(data)
@@ -47,7 +51,7 @@ def histogram(data) -> Histogram:
     arr = _as_bytes_array(data)
     if arr.size == 0:
         raise ValueError("cannot build a histogram of empty data")
-    bins = np.bincount(arr, minlength=ALPHABET)
+    bins = _backend.byte_counts(arr)
     return Histogram(bins=bins, total=int(arr.size))
 
 

@@ -42,7 +42,7 @@ def _p2_digit_values(body: bytes) -> np.ndarray | None:
 
     Canonical means only ASCII digits and whitespace, with at most 3
     digits per token; any other body (comments, signs, underscores,
-    other bytes, 4+ digits) gets None and is left to ``int()``.
+    other bytes, 4+ digits) gets None and is left to ``_p2_value``.
     """
     code = _P2_CODE.take(np.frombuffer(body, dtype=np.uint8))
     if code.size and code.max() > 10:
@@ -63,6 +63,26 @@ def _p2_digit_values(body: bytes) -> np.ndarray | None:
     return units + 10 * tens * has_tens + 100 * hundreds * has_hundreds
 
 
+# int()'s grammar for a bytes token: a sign, then digits with single
+# underscores between them.
+_P2_INT = re.compile(rb"([+-]?)([0-9](?:_?[0-9])*)")
+
+
+def _p2_value(token: bytes) -> int:
+    """``int(token)`` for a P2 body token, with ``int()``'s byte grammar but
+    none of its digit limit: a value of more than 3 significant digits
+    reads as its first 4, still out of range with the same sign. ValueError
+    for a token outside the grammar.
+    """
+    if len(token) <= 4:
+        return int(token)  # the common case; too short for any limit
+    number = _P2_INT.fullmatch(token)
+    if number is None:
+        raise ValueError("non-numeric token")
+    sign, digits = number.groups()
+    return int(sign + (digits.replace(b"_", b"").lstrip(b"0")[:4] or b"0"))
+
+
 def _check_count(count: int, needed: int) -> None:
     if count < needed:
         raise PgmError(f"truncated payload: {count} of {needed} values")
@@ -77,7 +97,7 @@ def _p2_pixels(body: bytes, needed: int) -> np.ndarray:
         in_range = values.max() <= MAXVAL
     else:
         try:
-            values = list(map(int, _BODY_COMMENT.sub(b"", body).split()))
+            values = list(map(_p2_value, _BODY_COMMENT.sub(b"", body).split()))
         except ValueError:
             raise PgmError("non-numeric P2 pixel token") from None
         _check_count(len(values), needed)

@@ -14,12 +14,14 @@ def pytest_report_header(config):
 @pytest.fixture()
 def each_backend(monkeypatch):
     """Call to iterate over the importable backends' names, each patched in
-    with the key cache empty; the cache is emptied again at the end.
+    (its keystream and byte-count kernels) with the key cache empty; the
+    cache is emptied again at the end.
     """
 
     def backends():
         for backend, kernels in sorted(available_backends().items()):
             monkeypatch.setattr(_backend, "keystream", kernels.keystream)
+            monkeypatch.setattr(_backend, "byte_counts", kernels.byte_counts)
             keygen._clear_cache()
             yield backend
         keygen._clear_cache()

@@ -1,4 +1,5 @@
 import itertools
+import pickle
 import queue
 import socket
 import threading
@@ -27,6 +28,7 @@ from cubicrypt.exchange import (
 )
 from cubicrypt.keygen import build_key_matrix, generate_keystream
 from cubicrypt.maps import EvaluationScheme
+from cubicrypt.metrics import Histogram, shannon_entropy
 from cubicrypt.testimage import synthetic_test_image
 
 
@@ -82,44 +84,51 @@ def test_decode_rejects_bad_magic():
     img = GrayImage(pixels=np.zeros((1, 1), dtype=np.uint8))
     frame = bytearray(encode_frame(img))
     frame[:4] = b"NOPE"
-    with pytest.raises(ProtocolError, match="magic"):
+    with pytest.raises(ProtocolError, match="magic") as err:
         decode_frame(bytes(frame))
+    assert err.value.kind == "magic"
 
 
 def test_decode_rejects_unknown_type():
     img = GrayImage(pixels=np.zeros((1, 1), dtype=np.uint8))
     frame = bytearray(encode_frame(img))
     frame[4] = 0x7F
-    with pytest.raises(ProtocolError, match="message type"):
+    with pytest.raises(ProtocolError, match="message type") as err:
         decode_frame(bytes(frame))
+    assert err.value.kind == "type"
 
 
 def test_decode_rejects_short_frames():
-    with pytest.raises(ProtocolError, match="incomplete"):
+    with pytest.raises(ProtocolError, match="incomplete") as err:
         decode_frame(b"CBX1")
+    assert err.value.kind == "truncated"
     img = GrayImage(pixels=np.zeros((2, 2), dtype=np.uint8))
-    with pytest.raises(ProtocolError, match="incomplete"):
+    with pytest.raises(ProtocolError, match="incomplete") as err:
         decode_frame(encode_frame(img)[:-1])
+    assert err.value.kind == "truncated"
 
 
 def test_decode_rejects_length_mismatch():
     img = GrayImage(pixels=np.zeros((2, 2), dtype=np.uint8))
     frame = bytearray(encode_frame(img))
     frame[13:17] = (3).to_bytes(4, "big")
-    with pytest.raises(ProtocolError, match="length mismatch"):
+    with pytest.raises(ProtocolError, match="length mismatch") as err:
         decode_frame(bytes(frame))
+    assert err.value.kind == "length"
 
 
 def test_decode_rejects_trailing_bytes():
     img = GrayImage(pixels=np.zeros((2, 2), dtype=np.uint8))
-    with pytest.raises(ProtocolError, match="trailing"):
+    with pytest.raises(ProtocolError, match="trailing") as err:
         decode_frame(encode_frame(img) + b"\x00")
+    assert err.value.kind == "trailing"
 
 
 def test_decode_rejects_zero_dimensions():
     frame = MAGIC + bytes([1]) + (0).to_bytes(4, "big") * 2 + (0).to_bytes(4, "big")
-    with pytest.raises(ProtocolError, match="dimensions"):
+    with pytest.raises(ProtocolError, match="dimensions") as err:
         decode_frame(frame)
+    assert err.value.kind == "dimensions"
 
 
 @pytest.mark.parametrize(
@@ -136,10 +145,11 @@ def test_recv_frame_rejects_header_before_reading_payload(msg_type, payload_len,
     with reader, writer:
         reader.settimeout(5.0)
         writer.sendall(header + b"rest")
-        with pytest.raises(ProtocolError, match=message):
+        with pytest.raises(ProtocolError, match=message) as err:
             recv_frame(reader)
         # not one byte past the header was consumed
         assert reader.recv(16) == b"rest"
+    assert err.value.kind == {"length mismatch": "length", "message type": "type"}[message]
 
 
 def _header(width, height, payload_len, magic=MAGIC, msg_type=0x01):
@@ -162,16 +172,25 @@ def test_payload_cap_rejects_header_before_reading_payload():
     with pytest.raises(ProtocolError) as decoded:
         decode_frame(header + b"rest")
     assert str(received.value) == str(decoded.value) == message
+    assert received.value.kind == decoded.value.kind == "too-large"
 
 
 def test_payload_cap_keeps_earlier_messages_and_admits_the_limit():
-    with pytest.raises(ProtocolError, match="length mismatch"):
+    with pytest.raises(ProtocolError, match="length mismatch") as err:
         decode_frame(_header(8192, 8192, 5))
-    with pytest.raises(ProtocolError, match="invalid dimensions"):
+    assert err.value.kind == "length"
+    with pytest.raises(ProtocolError, match="invalid dimensions") as err:
         decode_frame(_header(65537, 1, 65537))
+    assert err.value.kind == "dimensions"
     # exactly MAX_PAYLOAD passes the header check and waits for its payload
-    with pytest.raises(ProtocolError, match=f"incomplete frame: 0 of {MAX_PAYLOAD} payload"):
+    with pytest.raises(ProtocolError, match=f"incomplete frame: 0 of {MAX_PAYLOAD} payload") as err:
         decode_frame(_header(4096, 4096, MAX_PAYLOAD))
+    assert err.value.kind == "truncated"
+
+
+def test_protocol_error_pickles_with_its_kind():
+    error = pickle.loads(pickle.dumps(ProtocolError("magic", "bad magic b'NOPE'")))
+    assert (error.kind, str(error)) == ("magic", "bad magic b'NOPE'")
 
 
 _small = st.integers(1, 3)
@@ -217,17 +236,24 @@ def test_recv_frame_agrees_with_decode_frame(header, rest):
         except ProtocolError as exc:
             received = exc
         consumed = len(data) - len(_read_to_end(reader))
+    if isinstance(received, ProtocolError):
+        assert received.kind in ProtocolError.KINDS
     if len(data) < HEADER_SIZE:
         assert isinstance(received, ProtocolError)
+        with pytest.raises(ProtocolError) as decoded:
+            decode_frame(data)
+        assert received.kind == decoded.value.kind == "truncated"
         return
     try:
         _, _, payload_len = _parse_header(data)
     except ProtocolError:
-        # a rejected header: the same message, and not one byte past it read
+        # a rejected header: the same message and kind, and not one byte
+        # past it read
         with pytest.raises(ProtocolError) as decoded:
             decode_frame(data)
         assert isinstance(received, ProtocolError)
         assert str(received) == str(decoded.value)
+        assert received.kind == decoded.value.kind
         assert consumed == HEADER_SIZE
         return
     if len(rest) >= payload_len:
@@ -235,23 +261,34 @@ def test_recv_frame_agrees_with_decode_frame(header, rest):
         assert isinstance(received, GrayImage)
         assert np.array_equal(received.pixels, decode_frame(frame).pixels)
         assert consumed == len(frame)
+        if len(rest) > payload_len:
+            # recv_frame reads exactly one frame; decode_frame sees the rest
+            with pytest.raises(ProtocolError) as decoded:
+                decode_frame(data)
+            assert decoded.value.kind == "trailing"
     else:
         # a short payload
         assert isinstance(received, ProtocolError)
-        with pytest.raises(ProtocolError):
+        with pytest.raises(ProtocolError) as decoded:
             decode_frame(data)
+        assert received.kind == decoded.value.kind == "truncated"
 
 
 # ---------------------------------------------------------------- exchange
 
 
-def _mean_scores(sender, receiver, image):
-    """np.mean forms of the two fractions, from keys built without the cache."""
+def _uncached_keys(sender, receiver, image):
+    """Both profiles' key cells for the image, built without the cache."""
     w, h = image.width, image.height
-    send, recv = (
+    return tuple(
         build_key_matrix(generate_keystream(p.keystream, w * h), w, h).cells
         for p in (sender, receiver)
     )
+
+
+def _mean_scores(sender, receiver, image):
+    """np.mean forms of the two fractions, from keys built without the cache."""
+    send, recv = _uncached_keys(sender, receiver, image)
     candidate = image.pixels ^ send ^ recv
     return float(np.mean(candidate == image.pixels)), float(np.mean(send != recv))
 
@@ -274,6 +311,18 @@ def test_exchange_scores_equal_mean_forms(each_backend):
                 assert scores == expected[sender.name, receiver.name], (
                     backend, state, sender.name, receiver.name
                 )
+
+
+def test_exchange_entropy_equals_bincount_entropy(each_backend, test_image):
+    pairs = list(itertools.product(PROFILES.values(), repeat=2))
+    for backend in each_backend():
+        for sender, receiver in pairs:
+            send, recv = _uncached_keys(sender, receiver, test_image)
+            candidate = (test_image.pixels ^ send ^ recv).ravel()
+            bins = np.bincount(candidate, minlength=256)
+            expected = shannon_entropy(Histogram(bins=bins, total=candidate.size))
+            report = run_exchange(sender, receiver, test_image)
+            assert report.candidate_entropy == expected, (backend, sender.name, receiver.name)
 
 
 def test_same_profile_exchange_matches(test_image):

@@ -9,6 +9,8 @@ integer beyond Py_ssize_t fail with the same types on every backend.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cubicrypt._backend import available_backends
 
@@ -20,6 +22,12 @@ def _read_only(a):
     view = a.view()
     view.flags.writeable = False
     return view
+
+
+def _nonzero_counts(counts):
+    """A 256-long int64 count array's nonzero entries, as {byte: count}."""
+    assert counts.dtype == np.int64 and counts.shape == (256,)
+    return {int(value): int(counts[value]) for value in np.flatnonzero(counts)}
 
 
 CASES = {
@@ -73,6 +81,20 @@ CASES = {
         ((1, False, 0, -1.4374500000000001), bytes([204, S, S, S])),
     ),
     "ks-clean": (lambda k, out: k.keystream(TWO, 3.6, 1, 1.0, 2, out), (None, bytes([204, 249] * 2))),
+    # byte_counts(data): a 1-D contiguous uint8 buffer, read-only or not
+    "bc-2d": (lambda k, out: k.byte_counts(out.reshape(2, 2)), ValueError),
+    "bc-strided": (lambda k, out: k.byte_counts(out[::2]), ValueError),
+    "bc-int8": (lambda k, out: k.byte_counts(out.view(np.int8)), TypeError),
+    "bc-uint16": (lambda k, out: k.byte_counts(out.view(np.uint16)), TypeError),
+    "bc-float64": (lambda k, out: k.byte_counts(np.zeros(4)), TypeError),
+    "bc-bytes": (
+        lambda k, out: _nonzero_counts(k.byte_counts(b"\x00\xff\xff")),
+        ({0: 1, 255: 2}, bytes([S] * 4)),
+    ),
+    "bc-read-only-out": (
+        lambda k, out: _nonzero_counts(k.byte_counts(_read_only(out))),
+        ({S: 4}, bytes([S] * 4)),
+    ),
 }
 
 
@@ -90,3 +112,13 @@ def test_invalid_input_parity(case, backend):
         result, expected = expected
         assert call(kernels, out) == result
     assert out.tobytes() == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.binary(max_size=5000))
+def test_byte_counts_equal_bincount(data):
+    expected = np.bincount(np.frombuffer(data, dtype=np.uint8), minlength=256)
+    for backend, kernels in sorted(available_backends().items()):
+        for given_as in (data, np.frombuffer(data, dtype=np.uint8)):
+            counts = kernels.byte_counts(given_as)
+            assert counts.dtype == np.int64 and np.array_equal(counts, expected), backend

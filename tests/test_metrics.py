@@ -24,6 +24,25 @@ def test_histogram_accepts_arrays_and_2d():
     assert hist.total == 4
 
 
+def test_histogram_bins_equal_bincount_on_every_input(each_backend):
+    grid = np.arange(7 * 11, dtype=np.uint8).reshape(7, 11) * 3
+    inputs = {
+        "bytes": grid.tobytes(),
+        "bytearray": bytearray(grid.tobytes()),
+        "2-d": grid,
+        "transposed": grid.T,
+        "strided": grid[::2, ::3],
+        "reversed": grid.ravel()[::-1],
+        "0-d": np.uint8(200),
+    }
+    for backend in each_backend():
+        for name, data in inputs.items():
+            flat = np.asarray(memoryview(data) if name.startswith("byte") else data).ravel()
+            hist = histogram(data)
+            assert np.array_equal(hist.bins, np.bincount(flat, minlength=ALPHABET)), (backend, name)
+            assert hist.bins.dtype == np.int64 and hist.total == flat.size, (backend, name)
+
+
 def test_histogram_rejects_empty():
     with pytest.raises(ValueError):
         histogram(b"")

@@ -108,7 +108,8 @@ def test_p2_non_numeric():
 # regex tokenizer replaced. A header comment now also ends at CR (the
 # "header-comment-ends-at-cr" cases used to fail). The rest pin the
 # NumPy P2 path: 3-digit tokens and counts there, 4+ digits on the
-# reference path.
+# reference path. The 5 000-byte tokens are past int()'s 4 300-digit
+# limit, so they read the same on every Python version.
 @pytest.mark.parametrize(
     "blob, expected",
     [
@@ -135,6 +136,10 @@ def test_p2_non_numeric():
         pytest.param(b"P2\x0b2\x0c1\x0b255\x0c1\x0b\x0c20\x0c", [[1, 20]], id="vt-ff-only"),
         pytest.param(b"P2 3 2 255\n", "truncated payload: 0 of 6 values", id="empty-body"),
         pytest.param(b"P2 2 1 255\n1 2 3\n", "1 trailing values after payload", id="one-extra-token"),
+        pytest.param(b"P2 1 1 255 " + b"1" * 5000, "P2 pixel value outside [0, 255]", id="5000-digits"),
+        pytest.param(b"P2 1 1 255 " + b"0" * 4999 + b"5", [[5]], id="4999-zeros-then-5"),
+        pytest.param(b"P2 1 1 255 " + b"1" * 2500 + b"x" + b"1" * 2499, "non-numeric P2 pixel token",
+                     id="5000-bytes-with-letter"),
     ],
 )
 def test_reader_edge_cases(blob, expected):
@@ -186,6 +191,27 @@ def test_p2_numpy_path_matches_reference(blob):
     fast = _outcome(blob)
     with mock.patch.object(pgmio, "_p2_digit_values", return_value=None):
         assert _outcome(blob) == fast
+
+
+def _in_range_or_sign(parse, token):
+    """What the range check sees of ``parse(token)``: the value when in
+    [-999, 999], otherwise only its sign; "error" for a ValueError."""
+    try:
+        value = parse(token)
+    except ValueError:
+        return "error"
+    return value if -999 <= value <= 999 else value > 0
+
+
+_tokens = st.binary(min_size=1, max_size=40) | st.lists(
+    st.sampled_from(b"0123456789+-_x"), min_size=1, max_size=40
+).map(bytes)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_tokens.filter(lambda t: t.split() == [t]))  # as bytes.split() yields them
+def test_p2_value_agrees_with_int(token):
+    assert _in_range_or_sign(pgmio._p2_value, token) == _in_range_or_sign(int, token)
 
 
 def test_p5_p2_same_image(test_image):
